@@ -6,7 +6,7 @@
 // rows of lookahead, capping *every* manager near 4x and masking the
 // central-vs-distributed difference; from ~1024 the designs separate the
 // way Figs. 7/8 show. This is the experimental basis for the repository's
-// default (DESIGN.md §4).
+// default (docs/ARCHITECTURE.md, "Calibration and free parameters").
 #include <cstdio>
 #include <vector>
 

@@ -7,7 +7,8 @@
 //        --bench NAME  run a single benchmark
 //        --csv         also emit CSV rows
 //        --host-cost-us X  sensitivity: per-message host interface cost for
-//                          the hardware managers (see DESIGN.md §5)
+//                          the hardware managers (see RuntimeConfig::
+//                          host_message_cost)
 //        --json=PATH   instead of the figure tables, write machine-readable
 //                      run records (Nexus++ and Nexus# 6 TGs, 8 and 32
 //                      cores per benchmark) in the BENCH_*.json schema

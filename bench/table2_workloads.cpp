@@ -69,16 +69,15 @@ int main(int argc, char** argv) {
         "comma-separated subset of Table II workloads to run for --json "
         "(default: all)"}});
   std::printf("Table II: benchmark durations (traces regenerated synthetically; "
-              "see DESIGN.md)\n\n");
+              "see src/nexus/workloads/workloads.hpp)\n\n");
   TextTable t({"benchmark", "# tasks", "paper", "total work (ms)", "paper",
                "avg task (us)", "paper", "# deps", "paper"});
   for (const auto& row : kPaper) {
     const Trace tr = make_workload(row.name);
     const TraceStats s = compute_stats(tr);
-    const std::string deps = std::to_string(s.min_params) +
-                             (s.min_params == s.max_params
-                                  ? ""
-                                  : "-" + std::to_string(s.max_params));
+    std::string deps = std::to_string(s.min_params);
+    if (s.min_params != s.max_params)
+      deps.append("-").append(std::to_string(s.max_params));
     t.add_row({row.name, TextTable::integer(static_cast<long long>(s.num_tasks)),
                TextTable::integer(static_cast<long long>(row.tasks)),
                TextTable::num(s.total_work_ms(), 0), TextTable::num(row.total_ms, 0),

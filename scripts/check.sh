@@ -4,6 +4,9 @@
 # Usage:
 #   scripts/check.sh                 # plain RelWithDebInfo build + all tests
 #   scripts/check.sh --sanitize      # additional ASan/UBSan build + all tests
+#   scripts/check.sh --tsan          # additional ThreadSanitizer build of the
+#                                    # suites that run code on several threads
+#                                    # (harness, determinism, depgraph)
 #   scripts/check.sh --label unit    # run only suites with the given CTest label
 #   scripts/check.sh --bench         # additionally smoke-run every bench binary
 #                                    # (quick traces) and regenerate the
@@ -26,6 +29,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SANITIZE=0
+TSAN=0
 BENCH=0
 DIFF=0
 TRACE=0
@@ -34,6 +38,7 @@ LABEL=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --sanitize) SANITIZE=1 ;;
+    --tsan) TSAN=1 ;;
     --bench) BENCH=1 ;;
     --diff) BENCH=1; DIFF=1 ;;
     --trace) TRACE=1 ;;
@@ -73,6 +78,24 @@ scripts/docs_link_check.sh
 
 if [[ "${SANITIZE}" -eq 1 ]]; then
   run_pass build-asan -DNEXUS_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug
+fi
+
+if [[ "${TSAN}" -eq 1 ]]; then
+  # harness::sweep runs its points on worker threads. ThreadSanitizer needs
+  # every linked TU instrumented, so the flag goes through CMAKE_CXX_FLAGS
+  # into a build dir of its own; only the multi-threaded suites run.
+  TSAN_DIR=build-tsan
+  TSAN_SUITES=(harness_test determinism_test depgraph_test)
+  echo "==> configure: ${TSAN_DIR} (-fsanitize=thread)"
+  cmake -B "${TSAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DNEXUS_SANITIZE=OFF -DNEXUS_WERROR=ON \
+    -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
+  echo "==> build: ${TSAN_DIR}"
+  cmake --build "${TSAN_DIR}" -j "${JOBS}" --target "${TSAN_SUITES[@]}"
+  for t in "${TSAN_SUITES[@]}"; do
+    echo "==> tsan: ${t}"
+    TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" "${TSAN_DIR}/tests/${t}" --gtest_brief=1
+  done
 fi
 
 if [[ "${BENCH}" -eq 1 ]]; then

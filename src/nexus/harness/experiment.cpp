@@ -200,31 +200,43 @@ Series sweep(const Trace& trace, const ManagerSpec& spec,
   std::uint32_t sweep_node = 0;
   if (base.profiler != nullptr)
     sweep_node = base.profiler->node(base.profile_parent, "sweep:" + s.label);
-  for (const std::uint32_t c : cores) {
-    RuntimeConfig pt = base;
-    std::uint32_t point_node = 0;
-    if (base.profiler != nullptr) {
-      point_node = base.profiler->node(sweep_node, "c" + std::to_string(c));
-      pt.profile_parent = point_node;
-    }
-    telemetry::ProfScope prof_scope(base.profiler, point_node);
-    SweepPoint p;
-    p.cores = c;
-    p.topology = topology_label(spec, base);
-    p.placement = placement_label(spec, base);
-    if (collect_metrics || timeline != nullptr) {
-      RunReport rep = run_once_report(trace, spec, c, pt, true, timeline);
-      p.makespan = rep.result.makespan;
-      p.metrics = std::move(rep.metrics);
-      p.timeline = std::move(rep.timeline);
-    } else {
-      p.makespan = run_once(trace, spec, c, pt);
-    }
-    p.speedup = p.makespan > 0 ? static_cast<double>(baseline) /
-                                     static_cast<double>(p.makespan)
-                               : 0.0;
-    s.points.push_back(p);
-  }
+  const bool shared_sink = base.profiler != nullptr || base.metrics != nullptr ||
+                           base.timeline != nullptr || base.trace != nullptr ||
+                           base.schedule_out != nullptr ||
+                           spec.sharp.trace != nullptr;
+  s.points = parallel_map(
+      cores.size(),
+      [&](std::size_t i) {
+        const std::uint32_t c = cores[i];
+        RuntimeConfig pt = base;
+        std::uint32_t point_node = 0;
+        if (base.profiler != nullptr) {
+          // Appended: "c" + std::to_string(c) trips a false GCC 12
+          // -Wrestrict at -O3 once inlined here.
+          std::string name = "c";
+          name += std::to_string(c);
+          point_node = base.profiler->node(sweep_node, name);
+          pt.profile_parent = point_node;
+        }
+        telemetry::ProfScope prof_scope(base.profiler, point_node);
+        SweepPoint p;
+        p.cores = c;
+        p.topology = topology_label(spec, base);
+        p.placement = placement_label(spec, base);
+        if (collect_metrics || timeline != nullptr) {
+          RunReport rep = run_once_report(trace, spec, c, pt, true, timeline);
+          p.makespan = rep.result.makespan;
+          p.metrics = std::move(rep.metrics);
+          p.timeline = std::move(rep.timeline);
+        } else {
+          p.makespan = run_once(trace, spec, c, pt);
+        }
+        p.speedup = p.makespan > 0 ? static_cast<double>(baseline) /
+                                         static_cast<double>(p.makespan)
+                                   : 0.0;
+        return p;
+      },
+      shared_sink ? 1 : 0);
   return s;
 }
 

@@ -3,10 +3,16 @@
 // bench/figure binary shares.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "nexus/nexuspp/nexuspp.hpp"
@@ -126,9 +132,53 @@ bool write_chrome_trace(const Trace& trace, const ManagerSpec& spec,
                         std::uint32_t cores, const RuntimeConfig& base,
                         const std::string& path);
 
+/// Evaluate fn(0), ..., fn(n-1) on up to `workers` threads (0 means
+/// min(n, std::thread::hardware_concurrency())) and return the results in
+/// input order. The calling thread is one of the workers, so with one
+/// worker every call runs inline on it, in index order. `fn` must be safe
+/// to call concurrently; which thread runs which index is unspecified, so
+/// results must depend on the index alone. The result type must be
+/// default-constructible (the output vector is sized up front). If calls
+/// throw, the first exception is rethrown once every worker has joined.
+template <typename Fn>
+auto parallel_map(std::size_t n, Fn&& fn, std::size_t workers = 0)
+    -> std::vector<std::invoke_result_t<Fn&, std::size_t>> {
+  using R = std::invoke_result_t<Fn&, std::size_t>;
+  // vector<bool> packs bits, so neighbouring writes would race.
+  static_assert(!std::is_same_v<R, bool>, "parallel_map cannot return bool");
+  std::vector<R> out(n);
+  if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
+  workers = std::min(workers, n);
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mu;
+  std::exception_ptr error;
+  const auto work = [&] {
+    for (std::size_t i = next++; i < n; i = next++) {
+      try {
+        out[i] = fn(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mu);
+        if (!error) error = std::current_exception();
+      }
+    }
+  };
+  {
+    std::vector<std::jthread> helpers;
+    for (std::size_t w = 1; w < workers; ++w) helpers.emplace_back(work);
+    work();
+  }  // the jthreads join here
+  if (error) std::rethrow_exception(error);
+  return out;
+}
+
 /// Sweep a core-count axis. `base.workers` is overwritten per point; with
 /// `collect_metrics` every point carries a telemetry snapshot, and a
 /// non-null `timeline` config additionally attaches a per-point timeline.
+/// The points are independent runs and go through parallel_map. A sweep
+/// whose `base`/`spec` name a caller-owned sink every run writes into (a
+/// profiler, metric registry, timeline recorder, span trace or schedule
+/// log) runs them one at a time on the calling thread: those sinks are
+/// single-threaded, and a profile should describe one thread's cost.
 Series sweep(const Trace& trace, const ManagerSpec& spec,
              const std::vector<std::uint32_t>& cores, Tick baseline,
              const RuntimeConfig& base = {}, bool collect_metrics = false,

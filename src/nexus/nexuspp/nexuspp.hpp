@@ -30,7 +30,7 @@ struct NexusPPConfig {
   /// In-flight task window. The paper does not publish the pool size; 1024
   /// matches the per-TG table capacity (256 sets x 4 ways) and is large
   /// enough that the lookahead window is not the binding constraint on the
-  /// paper's workloads (DESIGN.md §4).
+  /// paper's workloads (bench/ablation_pool_window measures this).
   std::size_t pool_capacity = 1024;
 
   // Fig. 1 pipeline cycle counts.

@@ -183,8 +183,15 @@ void Topology::route(NodeId from, NodeId to, std::vector<LinkId>* out) const {
 }
 
 std::string Topology::link_label(LinkId l) const {
-  return "l" + std::to_string(l) + "_" + std::to_string(links_[l].src) + "to" +
-         std::to_string(links_[l].dst);
+  // Appended piecewise: GCC 12 at -O3 flags the chained operator+ form
+  // with a false -Wrestrict from inlined libstdc++ string code.
+  std::string label = "l";
+  label += std::to_string(l);
+  label += '_';
+  label += std::to_string(links_[l].src);
+  label += "to";
+  label += std::to_string(links_[l].dst);
+  return label;
 }
 
 std::string Topology::describe() const {

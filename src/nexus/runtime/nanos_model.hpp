@@ -8,8 +8,9 @@
 // Nanos's rot-cc curve flattens around 24x and h264dec-1x1 never reaches 1x —
 // emerges from queueing rather than being scripted.
 //
-// Constants are calibrated once against the paper's Table IV (see DESIGN.md
-// §4 and the fig8 bench) and frozen here. Vandierendonck et al. [17] put the
+// Constants are calibrated once against the paper's Table IV (see
+// docs/ARCHITECTURE.md, "Calibration and free parameters", and the fig8
+// bench) and frozen here. Vandierendonck et al. [17] put the
 // floor for software dependence tracking at ~400 cycles/task in the ideal
 // case; real Nanos per-task costs on the paper's machine are several us.
 #pragma once
@@ -22,10 +23,11 @@
 
 namespace nexus {
 
-// Defaults calibrated against Table IV (see EXPERIMENTS.md): the master-side
-// costs pin Nanos's h264dec-1x1 ceiling near the paper's 0.7x (creation +
-// ~5 dependence insertions exceed the 4.6 us task), while the lock critical
-// sections reproduce the plateau/decline of the coarse-grained rows.
+// Defaults calibrated against Table IV (bench/table4_max_speedup): the
+// master-side costs pin Nanos's h264dec-1x1 ceiling near the paper's 0.7x
+// (creation + ~5 dependence insertions exceed the 4.6 us task), while the
+// lock critical sections reproduce the plateau/decline of the
+// coarse-grained rows.
 struct NanosConfig {
   Tick create_cost = us(1.8);        ///< task creation, on master, no lock
   Tick insert_per_param = us(0.9);   ///< dependence insertion, under lock

@@ -69,7 +69,9 @@ struct RuntimeConfig {
   /// master<->manager message (submission, ready fetch, finish notify).
   /// 0 reproduces the paper's "Nexus# only" mode, where no communication
   /// overhead is accounted; nonzero values emulate a driver/PCIe stack as
-  /// in the Nexus++ integration paper [11]. See DESIGN.md §5.
+  /// in the Nexus++ integration paper [11]. A sensitivity knob, not a
+  /// calibrated constant (docs/ARCHITECTURE.md, "Calibration and free
+  /// parameters").
   Tick host_message_cost = 0;
 
   /// Host-side interconnect between the manager/master tile (node 0) and

@@ -1,6 +1,7 @@
 #include "nexus/sim/event_queue.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
@@ -41,8 +42,9 @@ QueueKind parse_queue_env() {
   return QueueKind::kCalendar;
 }
 
-QueueKind g_default_kind = QueueKind::kCalendar;
-bool g_default_resolved = false;
+/// Set by set_default_queue_kind(); kUnset defers to the environment.
+constexpr int kUnset = -1;
+std::atomic<int> g_override{kUnset};
 
 }  // namespace
 
@@ -51,16 +53,16 @@ const char* to_string(QueueKind k) {
 }
 
 QueueKind default_queue_kind() {
-  if (!g_default_resolved) {
-    g_default_kind = parse_queue_env();
-    g_default_resolved = true;
-  }
-  return g_default_kind;
+  const int forced = g_override.load();
+  if (forced != kUnset) return static_cast<QueueKind>(forced);
+  // Thread-safe one-time initialisation: concurrent first calls (parallel
+  // sweep points each constructing a Simulation) read the env var once.
+  static const QueueKind from_env = parse_queue_env();
+  return from_env;
 }
 
 void set_default_queue_kind(QueueKind k) {
-  g_default_kind = k;
-  g_default_resolved = true;
+  g_override.store(static_cast<int>(k));
 }
 
 CalendarQueue::CalendarQueue() {

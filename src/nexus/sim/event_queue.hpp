@@ -45,12 +45,15 @@ enum class QueueKind : std::uint8_t {
 
 /// The process-wide default for newly constructed Simulations: the
 /// NEXUS_SIM_QUEUE environment variable ("heap" / "calendar") when set,
-/// else kCalendar. Reads the environment once.
+/// else kCalendar. Reads the environment once; safe to call from several
+/// threads at once.
 [[nodiscard]] QueueKind default_queue_kind();
 
 /// Override the default (tests sweep implementations through this; it also
 /// wins over the environment variable). Affects Simulations constructed
-/// *after* the call.
+/// *after* the call. The store itself is atomic, but which kind a
+/// concurrently constructed Simulation picks is not defined: call it only
+/// while no simulation is running (e.g. not during a parallel sweep).
 void set_default_queue_kind(QueueKind k);
 
 /// Slab pool for bucket storage: vectors are released with their capacity

@@ -127,8 +127,12 @@ void Simulation::bind_telemetry(telemetry::MetricRegistry& reg,
   comp_gap_.clear();
   comp_last_.assign(components_.size(), 0);
   for (std::size_t i = 0; i < components_.size(); ++i) {
-    const std::string comp = "c" + std::to_string(i) + "_" +
-                             components_[i]->telemetry_label();
+    // Appended piecewise: GCC 12 at -O3 flags the chained operator+ form
+    // with a false -Wrestrict from inlined libstdc++ string code.
+    std::string comp = "c";
+    comp += std::to_string(i);
+    comp += '_';
+    comp += components_[i]->telemetry_label();
     const std::string base = telemetry::path_join(prefix, comp);
     comp_events_.push_back(&reg.counter(telemetry::path_join(base, "events")));
     comp_gap_.push_back(&reg.histogram(telemetry::path_join(base, "gap_ps")));

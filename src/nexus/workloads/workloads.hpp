@@ -13,7 +13,9 @@
 //
 // Durations are seeded lognormal samples rescaled so the trace total matches
 // Table II exactly; the variance parameter per benchmark is the one degree
-// of freedom the paper does not publish (see DESIGN.md §5).
+// of freedom the paper does not publish; it shapes the task-size spread but
+// never Table II's counts or totals (docs/ARCHITECTURE.md, "Calibration and
+// free parameters").
 #pragma once
 
 #include <cstdint>

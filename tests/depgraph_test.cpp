@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <optional>
 #include <queue>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "nexus/common/rng.hpp"
 #include "nexus/depgraph/dependency_tracker.hpp"
+#include "nexus/workloads/workloads.hpp"
+#include "reference_tracker.hpp"
 
 namespace nexus {
 namespace {
@@ -295,11 +299,181 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomStreamParams{2000, 1, 2, 7},   // single hot address
                       RandomStreamParams{300, 64, 1, 8}),  // independent-ish
     [](const ::testing::TestParamInfo<RandomStreamParams>& pi) {
-      return "n" + std::to_string(pi.param.n_tasks) + "_a" +
-             std::to_string(pi.param.n_addrs) + "_p" +
-             std::to_string(pi.param.max_params) + "_s" +
-             std::to_string(pi.param.seed);
+      return std::string("n")
+          .append(std::to_string(pi.param.n_tasks))
+          .append("_a")
+          .append(std::to_string(pi.param.n_addrs))
+          .append("_p")
+          .append(std::to_string(pi.param.max_params))
+          .append("_s")
+          .append(std::to_string(pi.param.seed));
     });
+
+// ---------- differential tests against the reference tracker ----------
+//
+// The pooled tracker must reproduce the original deque-based tracker
+// (tests/reference_tracker.hpp) call for call: the same blocked count at
+// every submit, the same newly-ready ids in the same order at every finish,
+// and the same pending writers, in-flight and live-address counts between
+// calls.
+
+/// Drives both trackers over one task stream: tasks are submitted in order
+/// with at most `window` in flight, and a randomly chosen ready task is
+/// finished whenever the window is full, the stream is exhausted, or the
+/// coin says so. The oldest in-flight task is always ready, so this never
+/// stalls.
+void run_lockstep(const std::vector<TaskDescriptor>& tasks, std::size_t window,
+                  std::uint64_t seed) {
+  DependencyTracker dut;
+  testing::ReferenceTracker ref;
+  Xoshiro256 rng(seed);
+  std::vector<TaskId> ready;
+  std::size_t next = 0;
+  std::size_t finished = 0;
+  std::vector<TaskId> got;
+  std::vector<TaskId> want;
+  const auto expect_same_addrs = [&](const TaskDescriptor& t) {
+    for (const auto& p : t.params)
+      ASSERT_EQ(dut.pending_writer(p.addr), ref.pending_writer(p.addr))
+          << "pending writer of " << p.addr << " after task " << t.id;
+    ASSERT_EQ(dut.in_flight(), ref.in_flight());
+    ASSERT_EQ(dut.live_addresses(), ref.live_addresses());
+  };
+  while (finished < tasks.size()) {
+    const bool can_submit = next < tasks.size() && dut.in_flight() < window;
+    if (can_submit && (ready.empty() || rng.below(2) == 0)) {
+      const TaskDescriptor& t = tasks[next++];
+      const std::size_t blocked = dut.submit(t);
+      ASSERT_EQ(blocked, ref.submit(t)) << "blocked count of task " << t.id;
+      ASSERT_EQ(dut.dep_count(t.id), blocked);
+      if (blocked == 0) ready.push_back(t.id);
+      expect_same_addrs(t);
+      if (::testing::Test::HasFatalFailure()) return;
+    } else {
+      ASSERT_FALSE(ready.empty()) << "stream stalled with " << dut.in_flight()
+                                  << " tasks in flight";
+      const std::size_t k = rng.below(ready.size());
+      const TaskId id = ready[k];
+      ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(k));
+      got.clear();
+      want.clear();
+      dut.finish(id, &got);
+      ref.finish(id, &want);
+      ASSERT_EQ(got, want) << "newly ready after finishing task " << id;
+      ASSERT_TRUE(dut.is_finished(id));
+      ready.insert(ready.end(), got.begin(), got.end());
+      ++finished;
+      expect_same_addrs(tasks[id]);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  EXPECT_EQ(dut.in_flight(), 0u);
+  EXPECT_EQ(dut.live_addresses(), 0u);
+}
+
+/// Random task stream over `n_addrs` addresses (distinct within a task).
+std::vector<TaskDescriptor> random_stream(int n_tasks, int n_addrs, int max_params,
+                                          std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<TaskDescriptor> tasks;
+  const int param_cap = std::min(max_params, n_addrs);
+  for (int i = 0; i < n_tasks; ++i) {
+    TaskDescriptor t;
+    t.id = static_cast<TaskId>(i);
+    t.duration = us(1);
+    const int np = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(param_cap)));
+    std::set<Addr> used;
+    while (static_cast<int>(t.params.size()) < np) {
+      const Addr a = 0x1000 + rng.below(static_cast<std::uint64_t>(n_addrs)) * 0x40;
+      if (!used.insert(a).second) continue;
+      t.params.push_back({a, static_cast<Dir>(rng.below(3))});
+    }
+    tasks.push_back(t);
+  }
+  return tasks;
+}
+
+TEST(DependencyTrackerDiff, RandomizedStreamsMatchReference) {
+  struct Case {
+    int tasks, addrs, params;
+    std::size_t window;
+  };
+  const Case cases[] = {{3000, 1, 1, 64},   {3000, 2, 2, 8},    {5000, 4, 3, 32},
+                        {5000, 16, 6, 128}, {5000, 64, 6, 512}, {2000, 3, 3, 2000},
+                        {4000, 256, 2, 16}, {4000, 8, 6, 1}};
+  std::uint64_t seed = 100;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << c.tasks << " tasks, " << c.addrs
+                                      << " addrs, " << c.params << " params, window "
+                                      << c.window);
+    run_lockstep(random_stream(c.tasks, c.addrs, c.params, seed), c.window, seed);
+    ++seed;
+  }
+}
+
+class DependencyTrackerWorkloadDiff : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DependencyTrackerWorkloadDiff, MatchesReference) {
+  const Trace tr = workloads::make_workload(GetParam());
+  run_lockstep(tr.tasks(), 256, 7);
+}
+
+/// Every registry workload except gaussian-3000, whose ~4.5M tasks would
+/// hold ~0.5 GB in the reference tracker alone; gaussian-1000 covers the
+/// same structure.
+std::vector<std::string> diff_workloads() {
+  std::vector<std::string> names = workloads::workload_names();
+  std::erase(names, "gaussian-3000");
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RegistryWorkloads, DependencyTrackerWorkloadDiff,
+    ::testing::ValuesIn(diff_workloads()),
+    [](const ::testing::TestParamInfo<std::string>& pi) {
+      std::string name = pi.param;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
+// ---------- reclamation ----------
+
+TEST(DependencyTracker, RollingWindowKeepsStateBounded) {
+  // A long stream through a 32-task window: each task reads a hot
+  // address that is never written (one reader group that never drains),
+  // updates its own fresh address and reads its predecessor's. Live state
+  // must follow the window, not the stream, and drain to zero.
+  constexpr TaskId kTasks = 200000;
+  constexpr std::size_t kWindow = 32;
+  DependencyTracker dt;
+  std::deque<TaskId> running;
+  std::vector<TaskId> ready;
+  std::size_t peak_live = 0;
+  for (TaskId i = 0; i < kTasks; ++i) {
+    TaskDescriptor t = make_task(i, {{0x10, Dir::kIn}, {0x1000 + 0x40 * Addr{i}, Dir::kOut}});
+    if (i > 0) t.params.push_back({0x1000 + 0x40 * Addr{i - 1}, Dir::kIn});
+    if (dt.submit(t) == 0) running.push_back(i);
+    while (dt.in_flight() >= kWindow) {
+      ASSERT_FALSE(running.empty());
+      ready.clear();
+      dt.finish(running.front(), &ready);
+      running.pop_front();
+      running.insert(running.end(), ready.begin(), ready.end());
+    }
+    peak_live = std::max(peak_live, dt.live_addresses());
+  }
+  while (!running.empty()) {
+    ready.clear();
+    dt.finish(running.front(), &ready);
+    running.pop_front();
+    running.insert(running.end(), ready.begin(), ready.end());
+  }
+  EXPECT_LE(peak_live, 2 * kWindow + 1);
+  EXPECT_EQ(dt.in_flight(), 0u);
+  EXPECT_EQ(dt.live_addresses(), 0u);
+  EXPECT_TRUE(dt.is_finished(kTasks - 1));
+  EXPECT_EQ(dt.pending_writer(0x1000 + 0x40 * Addr{kTasks - 1}), std::nullopt);
+}
 
 }  // namespace
 }  // namespace nexus

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "nexus/common/rng.hpp"
@@ -17,12 +18,29 @@
 #include "nexus/task/trace.hpp"
 #include "nexus/task/trace_stats.hpp"
 #include "nexus/telemetry/registry.hpp"
+#include "nexus/telemetry/timeline.hpp"
 #include "nexus/telemetry/writers.hpp"
 #include "nexus/workloads/arrivals.hpp"
 #include "nexus/workloads/workloads.hpp"
 
 namespace nexus {
 namespace {
+
+// ---------------------------------------------------------------------------
+// Every Simulation a concurrent sweep constructs reads the process-wide
+// default queue kind. Defined first so that, when the whole binary runs in
+// one process (check.sh --tsan), these threads make the first calls.
+// ---------------------------------------------------------------------------
+
+TEST(ThreadSafety, DefaultQueueKindResolvesOnceAcrossThreads) {
+  std::vector<QueueKind> seen(4, QueueKind::kBinaryHeap);
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t i = 0; i < seen.size(); ++i)
+      threads.emplace_back([&seen, i] { seen[i] = default_queue_kind(); });
+  }
+  for (const QueueKind k : seen) EXPECT_EQ(k, default_queue_kind());
+}
 
 // ---------------------------------------------------------------------------
 // RNG engine: identical seed => identical stream; different seed => different.
@@ -548,6 +566,52 @@ TEST(QueueKindSweep, OpenLoopServingIdenticalAcrossKindsAndTopologies) {
     // Release gating held on every interconnect: no early starts.
     for (const ScheduleEntry& e : runs[0].schedule)
       ASSERT_GE(e.start, sched.submission.release[e.task]) << e.task;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent sweeps: harness::sweep runs its points on worker threads. Each
+// point must equal the same run made alone, one at a time, on the calling
+// thread — makespan, speedup, metric snapshot and timeline, byte for byte.
+// ---------------------------------------------------------------------------
+
+TEST(ConcurrentSweep, PointsMatchOneAtATimeRuns) {
+  const Trace tr = workloads::make_h264dec(workloads::h264_config(8));
+  const Tick base = harness::ideal_baseline(tr);
+  // More points than most hosts have cores, so workers take several each.
+  const std::vector<std::uint32_t> cores = {1, 2, 4, 8, 16, 32};
+  const telemetry::TimelineConfig tl = harness::bench_timeline_config();
+  for (const harness::ManagerSpec& spec :
+       {harness::ManagerSpec::nanos_default(), harness::ManagerSpec::nexuspp_default(),
+        harness::ManagerSpec::nexussharp(6)}) {
+    SCOPED_TRACE(spec.label);
+    const harness::Series plain = harness::sweep(tr, spec, cores, base);
+    const harness::Series full =
+        harness::sweep(tr, spec, cores, base, {}, /*collect_metrics=*/true, &tl);
+    ASSERT_EQ(plain.points.size(), cores.size());
+    ASSERT_EQ(full.points.size(), cores.size());
+    for (std::size_t i = 0; i < cores.size(); ++i) {
+      const Tick alone = harness::run_once(tr, spec, cores[i]);
+      const harness::RunReport rep =
+          harness::run_once_report(tr, spec, cores[i], {}, true, &tl);
+      const harness::SweepPoint& p = plain.points[i];
+      const harness::SweepPoint& f = full.points[i];
+      EXPECT_EQ(p.cores, cores[i]);
+      EXPECT_EQ(f.cores, cores[i]);
+      EXPECT_EQ(p.makespan, alone) << cores[i] << " cores";
+      EXPECT_EQ(f.makespan, rep.result.makespan) << cores[i] << " cores";
+      EXPECT_EQ(p.speedup, rep.result.speedup_vs(base)) << cores[i] << " cores";
+      EXPECT_EQ(f.speedup, p.speedup) << cores[i] << " cores";
+      EXPECT_EQ(p.metrics, nullptr);
+      ASSERT_NE(f.metrics, nullptr);
+      ASSERT_NE(f.timeline, nullptr);
+      EXPECT_EQ(telemetry::snapshot_json(*f.metrics),
+                telemetry::snapshot_json(*rep.metrics))
+          << cores[i] << " cores";
+      EXPECT_EQ(telemetry::timeline_json(*f.timeline),
+                telemetry::timeline_json(*rep.timeline))
+          << cores[i] << " cores";
+    }
   }
 }
 

@@ -1,6 +1,10 @@
 // Harness tests: sweep mechanics, baseline definition, manager factories.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <stdexcept>
+#include <thread>
+
 #include "nexus/harness/experiment.hpp"
 #include "nexus/harness/serving.hpp"
 #include "nexus/telemetry/snapshot.hpp"
@@ -33,6 +37,64 @@ TEST(Harness, IdealSweepSpeedupsAreSane) {
   EXPECT_LE(s.points[1].speedup, 2.0 + 1e-9);
   EXPECT_GT(s.points[2].speedup, 3.5);
   EXPECT_EQ(s.max_speedup(), s.points[2].speedup);
+}
+
+TEST(Harness, ParallelMapKeepsInputOrder) {
+  std::atomic<int> calls{0};
+  const std::vector<std::size_t> out = parallel_map(
+      100,
+      [&](std::size_t i) {
+        ++calls;
+        return i * i;
+      },
+      4);
+  ASSERT_EQ(out.size(), 100u);
+  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
+  EXPECT_EQ(calls.load(), 100);  // every index exactly once
+  EXPECT_TRUE(parallel_map(0, [](std::size_t i) { return i; }).empty());
+}
+
+TEST(Harness, ParallelMapWithOneWorkerRunsInlineInOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  const std::vector<int> out = parallel_map(
+      5,
+      [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+        return static_cast<int>(i) + 1;
+      },
+      1);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST(Harness, ParallelMapRethrowsAfterJoining) {
+  std::atomic<int> calls{0};
+  EXPECT_THROW(parallel_map(
+                   16,
+                   [&](std::size_t i) {
+                     ++calls;
+                     if (i == 3) throw std::runtime_error("point 3 failed");
+                     return i;
+                   },
+                   4),
+               std::runtime_error);
+  EXPECT_EQ(calls.load(), 16);  // the other points still ran
+}
+
+TEST(Harness, SweepWithSharedScheduleLogRunsPointsOneAtATime) {
+  // A caller-owned sink makes the sweep serial: the log holds each point's
+  // schedule whole, in point order.
+  const Trace tr = workloads::make_gaussian({.n = 30});
+  const Tick base = ideal_baseline(tr);
+  std::vector<ScheduleEntry> log;
+  RuntimeConfig rc;
+  rc.schedule_out = &log;
+  const Series s = sweep(tr, ManagerSpec::nexussharp(2), {1, 4}, base, rc);
+  ASSERT_EQ(s.points.size(), 2u);
+  ASSERT_EQ(log.size(), 2 * tr.num_tasks());
+  for (std::size_t i = 0; i < tr.num_tasks(); ++i) EXPECT_EQ(log[i].worker, 0u);
 }
 
 TEST(Harness, SpeedupAtFindsLargestCoveredPoint) {

@@ -195,7 +195,8 @@ TEST(Integration, HostileHardwareConfigsStillDrain) {
 }
 
 // Host-interface sensitivity: adding per-message cost must slow every
-// manager monotonically (the DESIGN.md §5 sensitivity knob).
+// manager monotonically (RuntimeConfig::host_message_cost is a sensitivity
+// knob).
 TEST(Integration, HostMessageCostIsMonotone) {
   const Trace tr = fuzz_trace({41, 300, 16, 3, 0.01, 0.02, us(2), us(40)});
   Tick prev = 0;

@@ -175,7 +175,7 @@ TEST(MetricRegistryTest, AddressesStayStableAsRegistryGrows) {
   MetricRegistry reg;
   Counter& first = reg.counter("m0");
   for (int i = 1; i < 200; ++i)
-    reg.counter("m" + std::to_string(i)).inc();
+    reg.counter(std::string("m").append(std::to_string(i))).inc();
   first.inc(7);
   EXPECT_EQ(reg.counter("m0").value(), 7u);
   EXPECT_EQ(reg.size(), 200u);
