@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "nexus/nexuspp/nexuspp.hpp"
 #include "nexus/nexussharp/nexussharp.hpp"
 #include "nexus/runtime/ideal_manager.hpp"
 #include "nexus/runtime/multi_app.hpp"
@@ -34,6 +35,93 @@ Trace independent_trace(int n, Tick dur) {
   }
   tr.taskwait();
   return tr;
+}
+
+/// FNV-1a over the executed schedule (task, worker, start, end per entry):
+/// one number that moves if any entry moves.
+std::uint64_t schedule_hash(const std::vector<ScheduleEntry>& sched) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const ScheduleEntry& e : sched) {
+    mix(e.task);
+    mix(e.worker);
+    mix(static_cast<std::uint64_t>(e.start));
+    mix(static_cast<std::uint64_t>(e.end));
+  }
+  return h;
+}
+
+/// An app that waits on its own producers mid-stream (taskwait_on), then
+/// drains with a full barrier.
+Trace waiting_trace() {
+  Trace tr("waiter");
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 8; ++i) {
+      ParamList p;
+      p.push_back({0x2000 + 0x40 * static_cast<Addr>(i), Dir::kInOut});
+      if (i > 0) p.push_back({0x2000 + 0x40 * static_cast<Addr>(i - 1), Dir::kIn});
+      tr.submit(0, us(2 + i % 3), p);
+    }
+    tr.taskwait_on(0x2000 + 0x40 * 7);
+  }
+  tr.taskwait();
+  return tr;
+}
+
+struct Golden {
+  Tick makespan;
+  std::vector<Tick> app_completion;
+  std::uint64_t schedule;
+};
+
+void expect_golden(const std::vector<const Trace*>& apps, TaskManagerModel& mgr,
+                   std::uint32_t workers, const Golden& want) {
+  std::vector<ScheduleEntry> sched;
+  RuntimeConfig rc;
+  rc.workers = workers;
+  rc.schedule_out = &sched;
+  const MultiAppResult r = run_multi_app(apps, mgr, rc);
+  EXPECT_EQ(r.makespan, want.makespan);
+  EXPECT_EQ(r.app_completion, want.app_completion);
+  EXPECT_EQ(schedule_hash(sched), want.schedule);
+}
+
+TEST(MultiApp, GoldenAgainstParent) {
+  // Pinned co-run results: any change to how the driver interleaves the
+  // apps' submissions, barriers and dispatches moves one of these.
+  const Trace h264 = workloads::make_h264dec(workloads::h264_config(8));
+  const Trace waiter = waiting_trace();
+  NexusSharpConfig sharp;
+  sharp.num_task_graphs = 6;
+  sharp.freq_mhz = 100.0;
+  {
+    SCOPED_TRACE("nexus# 6TG, taskwait_on per app");
+    NexusSharp mgr(sharp);
+    expect_golden({&h264, &waiter}, mgr, 16,
+                  {71474392522, {71474392522, 150780000}, 7471741854634486574ULL});
+  }
+  {
+    SCOPED_TRACE("nexus++, taskwait_on falls back to a full barrier");
+    NexusPP mgr;
+    expect_golden({&h264, &waiter}, mgr, 16,
+                  {125051361023, {125051361023, 196340000}, 9062942198829039690ULL});
+  }
+  {
+    SCOPED_TRACE("nexus# 2TG, contended pool");
+    const Trace a = independent_trace(30, us(5));
+    const Trace b = independent_trace(30, us(5));
+    NexusSharpConfig cfg = sharp;
+    cfg.num_task_graphs = 2;
+    cfg.pool_capacity = 4;
+    NexusSharp mgr(cfg);
+    expect_golden({&a, &b, &waiter}, mgr, 4,
+                  {226730000, {42300000, 81340000, 226730000}, 934528362986939760ULL});
+  }
 }
 
 TEST(MultiApp, SingleAppMatchesDriver) {

@@ -229,6 +229,89 @@ TEST(Tenancy, QueueKindBitIdentity) {
   }
 }
 
+// --- goldens ----------------------------------------------------------------
+
+/// FNV-1a over a latency vector, in order.
+std::uint64_t latency_hash(const std::vector<Tick>& raw) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const Tick v : raw) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (static_cast<std::uint64_t>(v) >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+struct TenantGolden {
+  Tick makespan;
+  std::vector<std::uint64_t> raw;  ///< latency_hash per tenant
+  std::vector<std::uint64_t> nack_holds;
+};
+
+void expect_golden(const TenantRunResult& r, const TenantGolden& want) {
+  EXPECT_EQ(r.makespan, want.makespan);
+  std::vector<std::uint64_t> raw;
+  std::vector<std::uint64_t> holds;
+  for (const TenantLatency& t : r.tenants) {
+    raw.push_back(latency_hash(t.raw));
+    holds.push_back(t.nack_holds);
+  }
+  EXPECT_EQ(raw, want.raw);
+  EXPECT_EQ(holds, want.nack_holds);
+}
+
+TEST(Tenancy, GoldenAgainstParent) {
+  // Pinned co-run results for the two ablation_tenancy policies on the
+  // heavy-vs-light fixture, plus the all-arrivals-at-0 "blast" probe the
+  // bench sizes its rates with. Any change to the port's arrival order,
+  // NACK holds or same-tick ordering moves one of these.
+  TenantSet set = make_tenants({8e6, 2e5, 2e5, 2e5}, 250);
+  NexusSharpConfig base = sharp_cfg(2);
+  base.pool_capacity = 48;
+  {
+    SCOPED_TRACE("fifo");
+    NexusSharpConfig fifo = base;
+    fifo.tenancy.tenants = 4;
+    fifo.tenancy.weighted = false;
+    NexusSharp mgr(fifo);
+    expect_golden(run_tenants(set.streams, mgr, RuntimeConfig{.workers = 4}),
+                  {1343242905,
+                   {7492919359490863000ULL, 3550021599004543395ULL,
+                    9539024291196460860ULL, 14988161079772422136ULL},
+                   {0, 0, 0, 0}});
+  }
+  {
+    SCOPED_TRACE("quotas + wrr");
+    NexusSharpConfig qos = base;
+    qos.tenancy.tenants = 4;
+    qos.tenancy.quota.pool = 12;
+    qos.tenancy.weighted = true;
+    qos.tenancy.weights = {4, 1, 1, 1};
+    NexusSharp mgr(qos);
+    expect_golden(run_tenants(set.streams, mgr, RuntimeConfig{.workers = 4}),
+                  {1343242905,
+                   {1584073400334980747ULL, 16208788479847027714ULL,
+                    11575418432928380928ULL, 4529133653892053496ULL},
+                   {275, 0, 0, 0}});
+  }
+  {
+    SCOPED_TRACE("blast");
+    workloads::ArrivalConfig c;
+    c.kernel = "gaussian-250";
+    c.tasks = 400;
+    c.clients = 1;
+    c.chain_fraction = 0.0;
+    const workloads::ArrivalSchedule sched = workloads::generate_arrivals(c);
+    const Trace probe = workloads::make_serving_trace(sched);
+    const TenantStream blast{&probe, std::vector<Tick>(probe.num_tasks(), 0)};
+    NexusSharpConfig cfg = base;
+    NexusSharp mgr(cfg);
+    expect_golden(run_tenants({blast}, mgr, RuntimeConfig{.workers = 8}),
+                  {131575000, {13929711041572232400ULL}, {0}});
+  }
+}
+
 // --- QoS / starvation regression ------------------------------------------
 
 TEST(Tenancy, WrrAndQuotasProtectLightTenants) {
