@@ -6,7 +6,8 @@
 #   scripts/check.sh --sanitize      # additional ASan/UBSan build + all tests
 #   scripts/check.sh --tsan          # additional ThreadSanitizer build of the
 #                                    # suites that run code on several threads
-#                                    # (harness, determinism, depgraph)
+#                                    # (harness, determinism, depgraph,
+#                                    # workloads)
 #   scripts/check.sh --label unit    # run only suites with the given CTest label
 #   scripts/check.sh --bench         # additionally smoke-run every bench binary
 #                                    # (quick traces) and regenerate the
@@ -81,11 +82,12 @@ if [[ "${SANITIZE}" -eq 1 ]]; then
 fi
 
 if [[ "${TSAN}" -eq 1 ]]; then
-  # harness::sweep runs its points on worker threads. ThreadSanitizer needs
+  # harness::sweep runs its points on worker threads, and workload
+  # generators may be called from several threads. ThreadSanitizer needs
   # every linked TU instrumented, so the flag goes through CMAKE_CXX_FLAGS
   # into a build dir of its own; only the multi-threaded suites run.
   TSAN_DIR=build-tsan
-  TSAN_SUITES=(harness_test determinism_test depgraph_test)
+  TSAN_SUITES=(harness_test determinism_test depgraph_test workloads_test)
   echo "==> configure: ${TSAN_DIR} (-fsanitize=thread)"
   cmake -B "${TSAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DNEXUS_SANITIZE=OFF -DNEXUS_WERROR=ON \

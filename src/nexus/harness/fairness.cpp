@@ -27,12 +27,13 @@ FairnessReport run_fairness(const std::vector<TenantStream>& streams,
   RuntimeConfig rc = base;
   rc.workers = cores;
 
-  // Solo baselines: each tenant alone on a fresh manager, no telemetry (the
-  // co-run owns the snapshot).
+  // Solo baselines: each tenant alone on a fresh manager, observing nothing
+  // (the co-run owns the snapshot, the trace and the schedule).
   RuntimeConfig solo_rc = rc;
   solo_rc.metrics = nullptr;
   solo_rc.timeline = nullptr;
   solo_rc.trace = nullptr;
+  solo_rc.schedule_out = nullptr;
   FairnessReport rep;
   rep.tenants.resize(streams.size());
   for (std::size_t t = 0; t < streams.size(); ++t) {

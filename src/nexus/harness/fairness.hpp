@@ -45,8 +45,8 @@ double jain_index(const std::vector<double>& values);
 /// base.metrics to collect the co-run's telemetry; the fairness verdict
 /// gauges (fairness/jain_x1e6, fairness/slowdown_ratio_x1e3, per-tenant
 /// slowdowns) are set into that registry before the caller snapshots it.
-/// Solo runs use a metrics-free copy of `base` so baseline runs cannot
-/// pollute the co-run's snapshot.
+/// Solo runs use a copy of `base` without metrics, timeline, trace or
+/// schedule_out, so baseline runs cannot pollute what the co-run records.
 FairnessReport run_fairness(const std::vector<TenantStream>& streams,
                             const ManagerSpec& spec, std::uint32_t cores,
                             const RuntimeConfig& base = {});

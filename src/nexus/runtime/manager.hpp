@@ -27,11 +27,11 @@ constexpr Tick kSubmitBlocked = -1;
 
 /// Sentinel returned by TaskManagerModel::submit when the submitting
 /// *tenant* is over its admission quota while the shared structures still
-/// have room (multi-tenant managers only). Unlike kSubmitBlocked this is
-/// backpressure on one tenant: a tenancy-aware driver holds only that
-/// tenant's stream and keeps submitting for others. Single-stream drivers
-/// treat it exactly like kSubmitBlocked (any negative return blocks the
-/// master); the manager still calls master_resume when occupancy drops.
+/// have room (multi-tenant managers only). Unlike kSubmitBlocked, which
+/// holds the submitting master port, this is backpressure on one tenant:
+/// the driver holds only the submitting stream and keeps serving the
+/// port's other streams (a port with one stream simply waits). The manager
+/// still calls master_resume when occupancy drops.
 constexpr Tick kSubmitNacked = -2;
 
 /// Callbacks from the manager into the host simulation.
@@ -42,7 +42,8 @@ class RuntimeHost {
   /// A task's write-back completed: the RTS can now see it as ready.
   virtual void task_ready(Simulation& sim, TaskId id) = 0;
 
-  /// Space freed after a kSubmitBlocked; the master will retry.
+  /// Space freed after a kSubmitBlocked or kSubmitNacked: the driver
+  /// clears every port and stream hold and retries the held submissions.
   virtual void master_resume(Simulation& sim) = 0;
 };
 

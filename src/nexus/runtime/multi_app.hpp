@@ -7,7 +7,9 @@
 // its own submission stream (with per-app taskwait/taskwait_on semantics),
 // while task ids are densified globally and each app's 48-bit address space
 // is placed at a disjoint offset — exactly the property the paper appeals
-// to for isolation inside the shared task graphs.
+// to for isolation inside the shared task graphs. It is a thin adapter over
+// the single-trace driver (detail::Driver, one master port per app), so the
+// co-run honours the host NoC and every observer in RuntimeConfig.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +31,8 @@ struct MultiAppResult {
 /// Run `traces` concurrently on `manager` with `config.workers` cores.
 /// Address spaces are made disjoint by offsetting each app's addresses
 /// (app index in the high 48-bit address nibbles); task ids are offset to a
-/// dense global range. Deterministic.
+/// dense global range. Deterministic. Rejects `config.open_loop` (it paces
+/// one trace; apps are closed-loop masters).
 MultiAppResult run_multi_app(const std::vector<const Trace*>& traces,
                              TaskManagerModel& manager, const RuntimeConfig& config);
 

@@ -1,5 +1,6 @@
 #include "nexus/runtime/simulation_driver.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "nexus/telemetry/profiler.hpp"
@@ -11,26 +12,55 @@ namespace nexus {
 
 RunResult run_trace(const Trace& trace, TaskManagerModel& manager,
                     const RuntimeConfig& config) {
-  detail::Driver driver(trace, manager, config);
+  NEXUS_ASSERT_MSG(trace.num_tasks() > 0, "empty trace");
+  detail::Driver::Stream s;
+  s.trace = &trace;
+  if (config.open_loop != nullptr) {
+    NEXUS_ASSERT_MSG(config.open_loop->release.size() == trace.num_tasks(),
+                     "open-loop release vector must cover every task");
+    NEXUS_ASSERT_MSG(config.open_loop->client.empty() ||
+                         config.open_loop->client.size() == trace.num_tasks(),
+                     "open-loop client vector must be empty or cover every task");
+    s.release = config.open_loop->release.data();
+  }
+  detail::Driver driver({std::move(s)}, manager, config, {});
   return driver.run();
 }
 
 namespace detail {
 
-Driver::Driver(const Trace& trace, TaskManagerModel& manager,
-               const RuntimeConfig& config)
-    : trace_(trace),
+Driver::Driver(std::vector<Stream> streams, TaskManagerModel& manager,
+               const RuntimeConfig& config, Options options)
+    : streams_(std::move(streams)),
       manager_(manager),
       config_(config),
-      workers_(config.workers),
-      finished_(trace.num_tasks(), false) {
-  if (config_.open_loop != nullptr) {
-    NEXUS_ASSERT_MSG(config_.open_loop->release.size() == trace.num_tasks(),
-                     "open-loop release vector must cover every task");
-    NEXUS_ASSERT_MSG(config_.open_loop->client.empty() ||
-                         config_.open_loop->client.size() == trace.num_tasks(),
-                     "open-loop client vector must be empty or cover every task");
+      options_(options),
+      workers_(config.workers) {
+  // Global ids are dense in stream order. A lone stream without placement
+  // replays its trace in place; otherwise descriptors are copied with global
+  // ids, addresses moved into the stream's window and the tenant tag set.
+  const bool place = streams_.size() != 1 || streams_[0].offset != 0 ||
+                     streams_[0].tenant != 0;
+  for (std::uint32_t i = 0; i < streams_.size(); ++i) {
+    Stream& s = streams_[i];
+    NEXUS_ASSERT_MSG(s.trace != nullptr, "submission stream needs a trace");
+    NEXUS_ASSERT_MSG(s.port == ports_.size() || s.port + 1 == ports_.size(),
+                     "streams must be grouped by port, ports numbered in order");
+    if (s.port == ports_.size()) ports_.push_back(Port{i, i});
+    ++ports_.back().end;
+    s.base = static_cast<TaskId>(total_tasks_);
+    total_tasks_ += s.trace->num_tasks();
+    if (!place) continue;
+    for (TaskDescriptor t : s.trace->tasks()) {
+      t.id += s.base;
+      t.tenant = s.tenant;
+      for (auto& p : t.params) p.addr = (p.addr + s.offset) & kAddrMask;
+      placed_.push_back(t);
+      stream_of_.push_back(i);
+    }
   }
+  finished_.assign(total_tasks_, false);
+
   if (config_.metrics != nullptr) manager_.bind_telemetry(*config_.metrics);
   if (config_.trace != nullptr) manager_.bind_trace(config_.trace);
   self_ = sim_.add_component(this);
@@ -54,29 +84,32 @@ Driver::Driver(const Trace& trace, TaskManagerModel& manager,
     m_dispatches_ = &config_.metrics->counter("runtime/dispatches");
     m_sojourn_ = &config_.metrics->histogram("runtime/sojourn_ps");
     m_queue_wait_ = &config_.metrics->histogram("runtime/queue_wait_ps");
-    submit_t_.assign(trace_.num_tasks(), -1);
-    ready_t_.assign(trace_.num_tasks(), -1);
-    if (config_.open_loop != nullptr) {
+    submit_t_.assign(total_tasks_, -1);
+    ready_t_.assign(total_tasks_, -1);
+    const bool open_loop =
+        std::any_of(streams_.begin(), streams_.end(),
+                    [](const Stream& s) { return s.release != nullptr; });
+    if (open_loop) {
       m_offered_ = &config_.metrics->counter("runtime/offered");
       m_accepted_ = &config_.metrics->counter("runtime/accepted");
       m_serving_ = &config_.metrics->histogram("runtime/serving_latency_ps");
       m_admission_wait_ =
           &config_.metrics->histogram("runtime/admission_wait_ps");
-      // Per-client latency histograms; capped so a million-client schedule
-      // cannot explode the snapshot (the aggregate histogram always exists).
-      // Indices are zero-padded to a common width so snapshot order matches
-      // client order past 10 clients (client02 < client10, lexicographically).
-      constexpr std::uint32_t kMaxClientHistograms = 64;
-      if (!config_.open_loop->client.empty() &&
-          config_.open_loop->clients <= kMaxClientHistograms) {
-        for (std::uint32_t c = 0; c < config_.open_loop->clients; ++c)
-          m_client_sojourn_.push_back(&config_.metrics->histogram(
-              telemetry::path_join(
-                  "runtime",
-                  telemetry::indexed_path("client", c,
-                                          config_.open_loop->clients) +
-                      "/sojourn_ps")));
-      }
+    }
+    // Per-client latency histograms; capped so a million-client schedule
+    // cannot explode the snapshot (the aggregate histogram always exists).
+    // Indices are zero-padded to a common width so snapshot order matches
+    // client order past 10 clients (client02 < client10, lexicographically).
+    constexpr std::uint32_t kMaxClientHistograms = 64;
+    const OpenLoopSubmission* ol = config_.open_loop;
+    if (ol != nullptr && !ol->client.empty() &&
+        ol->clients <= kMaxClientHistograms) {
+      for (std::uint32_t c = 0; c < ol->clients; ++c)
+        m_client_sojourn_.push_back(&config_.metrics->histogram(
+            telemetry::path_join(
+                "runtime",
+                telemetry::indexed_path("client", c, ol->clients) +
+                    "/sojourn_ps")));
     }
   }
   if (config_.trace != nullptr && host_net_ != nullptr)
@@ -92,7 +125,8 @@ Driver::Driver(const Trace& trace, TaskManagerModel& manager,
     prof_notify_ = prof_->node(me, "notify");
     if (host_net_ != nullptr) {
       host_net_->bind_profiler(sim_, {"master_step", "task_done",
-                                      "worker_free", "dispatch", "notify"});
+                                      "worker_free", "dispatch", "notify",
+                                      "release"});
     }
   }
   if (config_.timeline != nullptr) {
@@ -103,17 +137,25 @@ Driver::Driver(const Trace& trace, TaskManagerModel& manager,
 }
 
 RunResult Driver::run() {
-  NEXUS_ASSERT_MSG(trace_.num_tasks() > 0, "empty trace");
-  sim_.schedule(0, self_, kMasterStep);
+  for (std::uint32_t p = 0; p < ports_.size(); ++p) wake(sim_, p, 0);
+  if (options_.arrival_events) {
+    for (std::uint32_t i = 0; i < streams_.size(); ++i)
+      for (TaskId t = 0; t < streams_[i].trace->num_tasks(); ++t)
+        sim_.schedule(streams_[i].release[t], self_, kRelease, i);
+  }
   sim_.run();
-  NEXUS_ASSERT_MSG(master_ == MasterState::kDone, "master did not finish");
-  NEXUS_ASSERT_MSG(outstanding_ == 0, "tasks left outstanding");
-  NEXUS_ASSERT_MSG(finished_count_ == trace_.num_tasks(), "tasks never ran");
+  Tick total_work = 0;
+  for (const Stream& s : streams_) {
+    NEXUS_ASSERT_MSG(s.state == StreamState::kDone && s.outstanding == 0,
+                     "submission stream did not drain");
+    total_work += s.trace->total_work();
+  }
+  NEXUS_ASSERT_MSG(finished_count_ == total_tasks_, "tasks never ran");
 
   RunResult r;
   r.makespan = last_activity_;
-  r.total_work = trace_.total_work();
-  r.tasks = trace_.num_tasks();
+  r.total_work = total_work;
+  r.tasks = total_tasks_;
   r.events = sim_.events_processed();
   r.manager = manager_.name();
   if (r.makespan > 0) {
@@ -145,9 +187,12 @@ RunResult Driver::run() {
 
 void Driver::handle(Simulation& sim, const Event& ev) {
   switch (ev.op) {
-    case kMasterStep:
-      master_step(sim);
+    case kMasterStep: {
+      const auto p = static_cast<std::uint32_t>(ev.a);
+      ports_[p].step_pending = false;
+      step(sim, p);
       break;
+    }
     case kTaskDone:
       on_task_done(sim, static_cast<std::uint32_t>(ev.a), static_cast<TaskId>(ev.b));
       break;
@@ -156,39 +201,86 @@ void Driver::handle(Simulation& sim, const Event& ev) {
       try_dispatch(sim);
       break;
     case kDispatchArrived:
-      begin_task(sim, static_cast<std::uint32_t>(ev.a), static_cast<TaskId>(ev.b));
+      begin_task(sim, static_cast<std::uint32_t>(ev.a),
+                 static_cast<TaskId>(ev.b), sim.now());
       break;
     case kNotifyArrived:
       on_notify(sim, static_cast<std::uint32_t>(ev.a), static_cast<TaskId>(ev.b));
       break;
+    case kRelease: {
+      Stream& s = streams_[static_cast<std::uint32_t>(ev.a)];
+      ++s.released;
+      step(sim, s.port);
+      break;
+    }
     default:
       NEXUS_ASSERT_MSG(false, "unknown driver op");
   }
 }
 
-void Driver::master_step(Simulation& sim) {
+void Driver::wake(Simulation& sim, std::uint32_t port, Tick at) {
+  // One queued step per port: a later wake-up request while one is queued
+  // is served by that step (it re-checks busy_until and re-queues).
+  if (ports_[port].step_pending) return;
+  ports_[port].step_pending = true;
+  sim.schedule(at, self_, kMasterStep, port);
+}
+
+void Driver::occupy_port(Simulation& sim, std::uint32_t port, Tick until) {
+  ports_[port].busy_until = until;
+  wake(sim, port, until);
+}
+
+Driver::Stream* Driver::next_stream(Simulation& sim, const Port& port) {
+  // The oldest pending head wins, ties to the lower stream. Closed-loop
+  // heads count as released at 0.
+  auto head_release = [](const Stream& s) -> Tick {
+    const TraceEvent& ev = s.trace->events()[s.cursor];
+    return s.release != nullptr && ev.op == TraceOp::kSubmit
+               ? s.release[ev.task]
+               : 0;
+  };
+  Stream* pick = nullptr;
+  for (std::uint32_t i = port.first; i < port.end; ++i) {
+    Stream& s = streams_[i];
+    if (s.state != StreamState::kRunning || s.held) continue;
+    if (s.cursor >= s.trace->events().size()) {
+      s.state = StreamState::kDone;
+      if (options_.master_tail && s.outstanding == 0)
+        last_activity_ = std::max(last_activity_, sim.now());
+      continue;
+    }
+    if (options_.arrival_events && s.trace->events()[s.cursor].task >= s.released)
+      continue;  // head not yet arrived
+    if (pick == nullptr || head_release(s) < head_release(*pick)) pick = &s;
+  }
+  return pick;
+}
+
+void Driver::step(Simulation& sim, std::uint32_t p) {
+  Port& port = ports_[p];
+  if (port.blocked) return;
+  if (sim.now() < port.busy_until) {
+    wake(sim, p, port.busy_until);
+    return;
+  }
   // Process consecutive trace events inline while they complete instantly;
   // this collapses millions of zero-cost submissions (ideal manager) into a
   // single event.
-  while (master_ == MasterState::kRunning) {
-    if (next_event_ >= trace_.events().size()) {
-      master_ = MasterState::kDone;
-      if (outstanding_ == 0 && last_activity_ < sim.now()) last_activity_ = sim.now();
-      return;
-    }
-    const TraceEvent& ev = trace_.events()[next_event_];
+  while (Stream* s = next_stream(sim, port)) {
+    const TraceEvent& ev = s->trace->events()[s->cursor];
     switch (ev.op) {
       case TraceOp::kSubmit: {
-        const TaskDescriptor& task = trace_.task(ev.task);
-        if (config_.open_loop != nullptr) {
-          // Open loop: the arrival process, not manager admission speed,
-          // paces this submit. Wake up again at the release time.
-          const Tick at = config_.open_loop->release[task.id];
+        if (s->release != nullptr && !options_.arrival_events) {
+          // Paced open loop: the arrival process, not manager admission
+          // speed, paces this submit. Wake up again at the release time.
+          const Tick at = s->release[ev.task];
           if (at > sim.now()) {
-            sim.schedule(at, self_, kMasterStep);
+            wake(sim, p, at);
             return;
           }
         }
+        const TaskDescriptor& task = this->task(s->base + ev.task);
         // Recorded before the submit so a pool-blocked retry keeps the
         // first attempt (the wait belongs to the span).
         if (config_.trace != nullptr)
@@ -198,10 +290,14 @@ void Driver::master_step(Simulation& sim) {
           telemetry::inc(m_offered_);
         }
         const Tick resume = manager_.submit(sim, task);
-        if (resume < 0) {
-          // kSubmitBlocked or kSubmitNacked: this driver feeds one stream,
-          // so a per-tenant NACK degrades to a plain block-and-retry.
-          master_ = MasterState::kBlockedOnPool;
+        if (resume == kSubmitNacked) {
+          // Per-stream backpressure: hold this stream, serve the others.
+          s->held = true;
+          ++s->nack_holds;
+          continue;
+        }
+        if (resume == kSubmitBlocked) {
+          port.blocked = true;
           return;  // manager will call master_resume
         }
         NEXUS_ASSERT(resume >= sim.now());
@@ -211,49 +307,39 @@ void Driver::master_step(Simulation& sim) {
         if (m_admission_wait_ != nullptr)
           telemetry::record(m_admission_wait_,
                             static_cast<std::uint64_t>(
-                                sim.now() -
-                                config_.open_loop->release[task.id]));
-        ++next_event_;
-        ++outstanding_;
-        for (const auto& p : task.params)
-          if (is_write(p.dir)) last_writer_[p.addr] = task.id;
+                                sim.now() - s->release[ev.task]));
+        ++s->cursor;
+        ++s->outstanding;
+        for (const auto& prm : task.params)
+          if (is_write(prm.dir)) s->last_writer[prm.addr] = task.id;
         const Tick cont = resume + config_.master_event_cost + config_.host_message_cost;
         if (cont > sim.now()) {
-          sim.schedule(cont, self_, kMasterStep);
+          occupy_port(sim, p, cont);
           return;
         }
         break;  // zero-cost: continue inline
       }
-      case TraceOp::kTaskwait: {
-        ++next_event_;
-        if (outstanding_ > 0) {
-          master_ = MasterState::kBlockedOnBarrier;
-          return;  // resumed by on_task_done
-        }
+      case TraceOp::kTaskwait:
+        ++s->cursor;
+        if (s->outstanding > 0)
+          s->state = StreamState::kBlockedOnBarrier;  // resumed by on_notify
         break;
-      }
       case TraceOp::kTaskwaitOn: {
+        ++s->cursor;
         if (!manager_.supports_taskwait_on()) {
           // Fallback used for Nexus++ (Section III): treat as full barrier.
-          ++next_event_;
-          if (outstanding_ > 0) {
-            master_ = MasterState::kBlockedOnBarrier;
-            return;
-          }
+          if (s->outstanding > 0) s->state = StreamState::kBlockedOnBarrier;
           break;
         }
-        ++next_event_;
-        const auto it = last_writer_.find(ev.addr);
-        const bool pending =
-            it != last_writer_.end() && !finished_[it->second];
-        const Tick query = manager_.taskwait_on_query_cost() + config_.host_message_cost;
-        if (pending) {
-          master_ = MasterState::kBlockedOnTask;
-          master_wait_task_ = it->second;
-          return;  // resumed by on_task_done
+        const auto it = s->last_writer.find((ev.addr + s->offset) & kAddrMask);
+        if (it != s->last_writer.end() && !finished_[it->second]) {
+          s->state = StreamState::kBlockedOnTask;  // resumed by on_notify
+          s->wait_task = it->second;
+          break;
         }
+        const Tick query = manager_.taskwait_on_query_cost() + config_.host_message_cost;
         if (query > 0) {
-          sim.schedule(sim.now() + query, self_, kMasterStep);
+          occupy_port(sim, p, sim.now() + query);
           return;
         }
         break;
@@ -263,7 +349,7 @@ void Driver::master_step(Simulation& sim) {
 }
 
 void Driver::task_ready(Simulation& sim, TaskId id) {
-  NEXUS_DCHECK(id < trace_.num_tasks());
+  NEXUS_DCHECK(id < total_tasks_);
   ready_queue_.push_back(id);
   telemetry::record(m_ready_depth_, ready_queue_.size());
   if (config_.metrics != nullptr) ready_t_[id] = sim.now();
@@ -276,9 +362,19 @@ void Driver::task_ready(Simulation& sim, TaskId id) {
 }
 
 void Driver::master_resume(Simulation& sim) {
-  NEXUS_ASSERT(master_ == MasterState::kBlockedOnPool);
-  master_ = MasterState::kRunning;
-  master_step(sim);
+  // The manager freed space: clear every hold and re-step the ports that
+  // were held. An arrival port is always re-stepped, since arrivals that
+  // came in while it was held wait for it.
+  for (std::uint32_t p = 0; p < ports_.size(); ++p) {
+    Port& port = ports_[p];
+    bool held = port.blocked || options_.arrival_events;
+    port.blocked = false;
+    for (std::uint32_t i = port.first; i < port.end; ++i) {
+      held |= streams_[i].held;
+      streams_[i].held = false;
+    }
+    if (held) step(sim, p);
+  }
 }
 
 void Driver::try_dispatch(Simulation& sim) {
@@ -308,21 +404,16 @@ void Driver::try_dispatch(Simulation& sim) {
       // parameter-sized payload); execution starts on arrival.
       host_net_->send(sim, start, 0, 1 + w, self_, kDispatchArrived, w, id,
                       noc::kParamBytes);
-      continue;
+    } else {
+      begin_task(sim, w, id, start);
     }
-    const Tick end = start + trace_.task(id).duration;
-    workers_.occupy(w, sim.now(), end);
-    if (config_.schedule_out != nullptr)
-      config_.schedule_out->push_back(ScheduleEntry{id, w, start, end});
-    if (config_.trace != nullptr) config_.trace->on_exec(id, start, end);
-    sim.schedule(end, self_, kTaskDone, w, id);
   }
 }
 
-void Driver::begin_task(Simulation& sim, std::uint32_t worker, TaskId id) {
-  const Tick start = sim.now();
-  const Tick end = start + trace_.task(id).duration;
-  workers_.occupy(worker, start, end);
+void Driver::begin_task(Simulation& sim, std::uint32_t worker, TaskId id,
+                        Tick start) {
+  const Tick end = start + task(id).duration;
+  workers_.occupy(worker, sim.now(), end);
   if (config_.schedule_out != nullptr)
     config_.schedule_out->push_back(ScheduleEntry{id, worker, start, end});
   if (config_.trace != nullptr) config_.trace->on_exec(id, start, end);
@@ -331,6 +422,7 @@ void Driver::begin_task(Simulation& sim, std::uint32_t worker, TaskId id) {
 
 void Driver::on_task_done(Simulation& sim, std::uint32_t worker, TaskId id) {
   last_activity_ = sim.now();
+  stream_of(id).last = sim.now();
   if (host_net_ != nullptr) {
     // The finish notification crosses the host NoC back to the manager
     // tile; the worker stays reserved until the manager accepts it.
@@ -346,8 +438,9 @@ void Driver::on_notify(Simulation& sim, std::uint32_t worker, TaskId id) {
   NEXUS_ASSERT(!finished_[id]);
   finished_[id] = true;
   ++finished_count_;
-  NEXUS_ASSERT(outstanding_ > 0);
-  --outstanding_;
+  Stream& s = stream_of(id);
+  NEXUS_ASSERT(s.outstanding > 0);
+  --s.outstanding;
 
   // The completion path (software: completion critical section on this
   // worker; hardware: finish notification write) holds the worker until
@@ -358,14 +451,15 @@ void Driver::on_notify(Simulation& sim, std::uint32_t worker, TaskId id) {
   if (config_.metrics != nullptr && submit_t_[id] >= 0)
     telemetry::record(m_sojourn_,
                       static_cast<std::uint64_t>(sim.now() - submit_t_[id]));
-  if (m_serving_ != nullptr) {
+  if (s.release != nullptr) {
     // Serving latency counts from the *arrival*, not the (possibly
     // backlogged) submit attempt — the open-loop tail the knee search gates.
-    const auto lat = static_cast<std::uint64_t>(
-        sim.now() - config_.open_loop->release[id]);
-    m_serving_->record(lat);
+    const Tick lat = sim.now() - s.release[id - s.base];
+    telemetry::record(m_serving_, static_cast<std::uint64_t>(lat));
     if (!m_client_sojourn_.empty())
-      m_client_sojourn_[config_.open_loop->client[id]]->record(lat);
+      m_client_sojourn_[config_.open_loop->client[id]]->record(
+          static_cast<std::uint64_t>(lat));
+    if (options_.arrival_events) s.raw.push_back(lat);
   }
   if (free_at == sim.now()) {
     workers_.release(worker);
@@ -374,24 +468,22 @@ void Driver::on_notify(Simulation& sim, std::uint32_t worker, TaskId id) {
     sim.schedule(free_at, self_, kWorkerFree, worker);
   }
 
-  finish_barrier_checks(sim);
+  finish_barrier_checks(sim, s);
 }
 
-void Driver::finish_barrier_checks(Simulation& sim) {
-  // master_step is safe against spurious wake-ups (it no-ops unless the
-  // master is in kRunning), so resuming just flips the state and steps.
-  if (master_ == MasterState::kBlockedOnBarrier && outstanding_ == 0) {
-    master_ = MasterState::kRunning;
-    master_step(sim);
-  } else if (master_ == MasterState::kBlockedOnTask &&
-             finished_[master_wait_task_]) {
-    master_wait_task_ = kInvalidTask;
-    master_ = MasterState::kRunning;
+void Driver::finish_barrier_checks(Simulation& sim, Stream& s) {
+  if (s.state == StreamState::kBlockedOnBarrier && s.outstanding == 0) {
+    s.state = StreamState::kRunning;
+    step(sim, s.port);
+  } else if (s.state == StreamState::kBlockedOnTask &&
+             finished_[s.wait_task]) {
+    s.wait_task = kInvalidTask;
+    s.state = StreamState::kRunning;
     const Tick query = manager_.taskwait_on_query_cost() + config_.host_message_cost;
     if (query > 0) {
-      sim.schedule(sim.now() + query, self_, kMasterStep);
+      occupy_port(sim, s.port, sim.now() + query);
     } else {
-      master_step(sim);
+      step(sim, s.port);
     }
   }
 }

@@ -58,7 +58,8 @@ struct RuntimeConfig {
   /// task's release time (see OpenLoopSubmission). With metrics bound the
   /// driver additionally records offered/accepted counters, the
   /// serving-latency histogram (release -> finish) and per-client
-  /// histograms. Null keeps the closed-loop replay bit-identical.
+  /// histograms. Null keeps the closed-loop replay bit-identical. Paces
+  /// run_trace only; run_multi_app and run_tenants reject it.
   const OpenLoopSubmission* open_loop = nullptr;
 
   /// Fixed master-side cost per trace event outside the manager (models the
@@ -137,12 +138,67 @@ RunResult run_trace(const Trace& trace, TaskManagerModel& manager,
 
 namespace detail {
 
-/// The DES component implementing the master thread, dispatcher and workers.
+/// The DES component implementing the master ports, dispatcher and workers.
+///
+/// One driver replays N *submission streams* through M *master ports* onto
+/// one worker pool, ready queue, host NoC, trace, timeline and profiler. A
+/// port is one master thread: it submits for its streams one at a time and
+/// is busy for each submission's continuation. The adapters pick the shape:
+///
+///   run_trace      1 port x 1 stream (closed loop, or paced by open_loop)
+///   run_multi_app  N ports x 1 stream each (per-app taskwait/taskwait_on)
+///   run_tenants    1 port x N arrival streams
+///
+/// A port with several ready heads serves the oldest release first (ties to
+/// the lower stream). kSubmitBlocked holds the whole port; kSubmitNacked
+/// holds only the offending stream; master_resume clears both.
 class Driver final : public Component, public RuntimeHost {
  public:
-  Driver(const Trace& trace, TaskManagerModel& manager, const RuntimeConfig& config);
+  enum class StreamState : std::uint8_t {
+    kRunning,
+    kBlockedOnBarrier,  ///< taskwait
+    kBlockedOnTask,     ///< taskwait_on
+    kDone,
+  };
+
+  struct Stream {
+    // Set by the adapter.
+    const Trace* trace = nullptr;
+    std::uint32_t port = 0;        ///< ports are numbered 0.. in stream order
+    const Tick* release = nullptr; ///< arrival per local task; null = closed loop
+    Addr offset = 0;               ///< address window (added modulo 2^48)
+    std::uint16_t tenant = 0;      ///< TaskDescriptor::tenant tag
+
+    // Run state.
+    TaskId base = 0;         ///< global id of local task 0
+    std::size_t cursor = 0;  ///< next trace event
+    std::size_t released = 0;  ///< arrivals delivered (arrival-event runs)
+    StreamState state = StreamState::kRunning;
+    bool held = false;       ///< NACKed; retried on master_resume
+    TaskId wait_task = kInvalidTask;
+    std::uint64_t outstanding = 0;  ///< submitted but not finished
+    std::uint64_t nack_holds = 0;
+    Tick last = 0;  ///< last task completion
+    std::vector<Tick> raw;  ///< release -> finish per task (arrival-event runs)
+    std::unordered_map<Addr, TaskId> last_writer;  ///< placed addresses
+  };
+
+  struct Options {
+    /// Every release is an event scheduled up front that makes its task
+    /// eligible at the port (tenancy serving). Otherwise a port with
+    /// release times sleeps until its next head's release.
+    bool arrival_events = false;
+    /// A master that finishes after its stream's last task (trailing
+    /// taskwait_on query, submit continuation) extends the makespan. Off,
+    /// the makespan is the last task completion.
+    bool master_tail = true;
+  };
+
+  Driver(std::vector<Stream> streams, TaskManagerModel& manager,
+         const RuntimeConfig& config, Options options);
 
   RunResult run();
+  [[nodiscard]] const std::vector<Stream>& streams() const { return streams_; }
 
   // Component
   void handle(Simulation& sim, const Event& ev) override;
@@ -157,31 +213,51 @@ class Driver final : public Component, public RuntimeHost {
 
  private:
   enum Op : std::uint32_t {
-    kMasterStep = 0,
+    kMasterStep = 0,       ///< a = port
     kTaskDone = 1,         ///< a = worker, b = task
     kWorkerFree = 2,       ///< a = worker
     kDispatchArrived = 3,  ///< a = worker, b = task (host NoC, non-ideal)
     kNotifyArrived = 4,    ///< a = worker, b = task (host NoC, non-ideal)
+    kRelease = 5,          ///< a = stream (arrival-event runs)
   };
 
-  enum class MasterState : std::uint8_t {
-    kRunning,
-    kBlockedOnPool,     ///< manager returned kSubmitBlocked
-    kBlockedOnBarrier,  ///< taskwait
-    kBlockedOnTask,     ///< taskwait_on
-    kDone,
+  struct Port {
+    std::uint32_t first = 0;  ///< streams [first, end)
+    std::uint32_t end = 0;
+    bool blocked = false;       ///< kSubmitBlocked outstanding
+    bool step_pending = false;  ///< a kMasterStep is queued
+    Tick busy_until = 0;        ///< submission continuation
   };
 
-  void master_step(Simulation& sim);
+  [[nodiscard]] const TaskDescriptor& task(TaskId id) const {
+    return placed_.empty() ? streams_[0].trace->task(id) : placed_[id];
+  }
+  [[nodiscard]] Stream& stream_of(TaskId id) {
+    return streams_[stream_of_.empty() ? 0 : stream_of_[id]];
+  }
+
+  void step(Simulation& sim, std::uint32_t port);
+  Stream* next_stream(Simulation& sim, const Port& port);
+  void wake(Simulation& sim, std::uint32_t port, Tick at);
+  void occupy_port(Simulation& sim, std::uint32_t port, Tick until);
   void try_dispatch(Simulation& sim);
-  void begin_task(Simulation& sim, std::uint32_t worker, TaskId id);
+  /// Execution on `worker` from `start`; the worker is reserved from now.
+  void begin_task(Simulation& sim, std::uint32_t worker, TaskId id, Tick start);
   void on_task_done(Simulation& sim, std::uint32_t worker, TaskId id);
   void on_notify(Simulation& sim, std::uint32_t worker, TaskId id);
-  void finish_barrier_checks(Simulation& sim);
+  void finish_barrier_checks(Simulation& sim, Stream& s);
 
-  const Trace& trace_;
+  std::vector<Stream> streams_;
+  std::vector<Port> ports_;
   TaskManagerModel& manager_;
   RuntimeConfig config_;
+  Options options_;
+
+  /// Descriptors with global ids, placed addresses and tenant tags; empty
+  /// for a lone unplaced stream, which replays its trace in place.
+  std::vector<TaskDescriptor> placed_;
+  std::vector<std::uint32_t> stream_of_;  ///< by global id; empty = stream 0
+  std::uint64_t total_tasks_ = 0;
 
   Simulation sim_;
   std::uint32_t self_ = 0;
@@ -192,12 +268,6 @@ class Driver final : public Component, public RuntimeHost {
   WorkerPool workers_;
   std::deque<TaskId> ready_queue_;
   std::vector<bool> finished_;
-  std::unordered_map<Addr, TaskId> last_writer_;  ///< as of master progress
-
-  std::size_t next_event_ = 0;  ///< index into trace_.events()
-  MasterState master_ = MasterState::kRunning;
-  TaskId master_wait_task_ = kInvalidTask;
-  std::uint64_t outstanding_ = 0;  ///< submitted but not finished
   std::uint64_t finished_count_ = 0;
   Tick last_activity_ = 0;
 
@@ -210,17 +280,16 @@ class Driver final : public Component, public RuntimeHost {
   telemetry::Histogram* m_sojourn_ = nullptr;     ///< submit -> finish, per task
   telemetry::Histogram* m_queue_wait_ = nullptr;  ///< ready -> dispatch
 
-  // Open-loop serving metrics (created only when `open_loop` is set and a
-  // registry is bound; see docs/METRICS.md "Serving metrics").
+  // Open-loop serving metrics (created only when a stream has release times
+  // and a registry is bound; see docs/METRICS.md "Serving metrics").
   telemetry::Counter* m_offered_ = nullptr;   ///< arrivals whose submit was attempted
   telemetry::Counter* m_accepted_ = nullptr;  ///< arrivals admitted by the manager
   telemetry::Histogram* m_serving_ = nullptr;        ///< release -> finish
   telemetry::Histogram* m_admission_wait_ = nullptr; ///< release -> admission
   std::vector<telemetry::Histogram*> m_client_sojourn_;  ///< per client
 
-  /// Per-task submit/ready times (task ids are dense trace indices), kept
-  /// only when metrics are bound — they feed the sojourn and queue-wait
-  /// histograms above.
+  /// Per-task submit/ready times (by global id), kept only when metrics
+  /// are bound — they feed the sojourn and queue-wait histograms above.
   std::vector<Tick> submit_t_;
   std::vector<Tick> ready_t_;
 };

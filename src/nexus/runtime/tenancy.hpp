@@ -1,5 +1,6 @@
-// Multi-tenant open-loop driver: N per-tenant arrival streams against ONE
-// task manager instance.
+// Multi-tenant open-loop runs: N per-tenant arrival streams against ONE
+// task manager instance, replayed by the single-trace driver
+// (detail::Driver) as one master port with N streams.
 //
 // Extends the Section VI multi-application observation (disjoint address
 // spaces let Nexus# manage several apps at once) to a *serving* setting:
@@ -50,7 +51,8 @@ struct TenantRunResult {
 /// so a tenancy-configured manager can attribute and police them.
 /// The shared submission port serves pending tasks in global arrival
 /// order (ties by tenant index) — only a manager NACK lets later arrivals
-/// from other tenants overtake a held stream. Deterministic.
+/// from other tenants overtake a held stream. Deterministic. Rejects
+/// `config.open_loop` (each stream carries its own release times).
 TenantRunResult run_tenants(const std::vector<TenantStream>& streams,
                             TaskManagerModel& manager,
                             const RuntimeConfig& config);

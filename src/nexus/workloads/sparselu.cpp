@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <map>
+#include <mutex>
 #include <utility>
 
 #include "nexus/workloads/duration_model.hpp"
@@ -86,12 +87,16 @@ std::vector<std::uint8_t> to_nonnull(const std::vector<std::uint8_t>& null_mask)
 /// matches the target exactly (or no flip fits). Deltas are estimated once
 /// per block ("stale"), then each accepted flip is verified against an exact
 /// recount, so overshoot is impossible. Results are memoized per (nb,target)
-/// because the same trace is generated by several benches.
+/// because the same trace is generated by several benches; the memo is
+/// locked so traces can be generated on several threads (references into
+/// a std::map stay valid across later inserts).
 const std::vector<std::uint8_t>& searched_mask(int nb, std::uint64_t target,
                                                std::uint64_t* final_count) {
+  static std::mutex mu;
   static std::map<std::pair<int, std::uint64_t>,
                   std::pair<std::vector<std::uint8_t>, std::uint64_t>>
       cache;
+  const std::lock_guard<std::mutex> lock(mu);
   const auto key = std::make_pair(nb, target);
   if (const auto it = cache.find(key); it != cache.end()) {
     *final_count = it->second.second;

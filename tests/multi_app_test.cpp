@@ -9,7 +9,12 @@
 #include "nexus/nexussharp/nexussharp.hpp"
 #include "nexus/runtime/ideal_manager.hpp"
 #include "nexus/runtime/multi_app.hpp"
+#include "nexus/runtime/tenancy.hpp"
+#include "nexus/telemetry/critical_path.hpp"
+#include "nexus/telemetry/profiler.hpp"
 #include "nexus/telemetry/registry.hpp"
+#include "nexus/telemetry/timeline.hpp"
+#include "nexus/telemetry/trace.hpp"
 #include "nexus/workloads/workloads.hpp"
 
 namespace nexus {
@@ -307,6 +312,108 @@ TEST(MultiApp, Deterministic) {
   const MultiAppResult r2 = run_multi_app({&a, &b}, m2, RuntimeConfig{.workers = 8});
   EXPECT_EQ(r1.makespan, r2.makespan);
   EXPECT_EQ(r1.app_completion, r2.app_completion);
+}
+
+NexusSharpConfig sharp4() {
+  NexusSharpConfig cfg;
+  cfg.num_task_graphs = 4;
+  cfg.freq_mhz = 100.0;
+  return cfg;
+}
+
+TEST(MultiApp, TracedRunConservesSpansAndCriticalPath) {
+  const Trace a = workloads::make_gaussian({.n = 40});
+  const Trace b = waiting_trace();
+  NexusSharp mgr(sharp4());
+  telemetry::TraceRecorder rec;
+  telemetry::MetricRegistry reg;
+  RuntimeConfig rc;
+  rc.workers = 8;
+  rc.trace = &rec;
+  rc.metrics = &reg;
+  const MultiAppResult r = run_multi_app({&a, &b}, mgr, rc);
+  const telemetry::TraceData td = rec.freeze();
+  ASSERT_EQ(td.tasks.size(), r.total_tasks);
+  EXPECT_EQ(td.makespan, r.makespan);
+
+  // Sojourns rebuilt from the span chains equal the driver's histogram.
+  std::uint64_t sum = 0;
+  for (const telemetry::TaskSpan& s : td.tasks) {
+    ASSERT_TRUE(s.complete()) << "task " << s.task;
+    const telemetry::TaskPhases p = telemetry::phases_of(s);
+    EXPECT_EQ(p.ingest + p.dep_wait + p.writeback + p.queue_wait +
+                  p.dispatch + p.execute,
+              s.sojourn());
+    sum += static_cast<std::uint64_t>(s.sojourn());
+  }
+  const telemetry::Snapshot snap = reg.snapshot();
+  const telemetry::MetricValue* soj = snap.find("runtime/sojourn_ps");
+  ASSERT_NE(soj, nullptr);
+  EXPECT_EQ(soj->hist.count, r.total_tasks);
+  EXPECT_EQ(soj->hist.sum, sum);
+
+  // The critical path tiles [0, makespan] exactly.
+  const telemetry::CriticalPathReport cp = telemetry::critical_path(td);
+  telemetry::TraceTick total = 0;
+  for (const telemetry::PathSegment& seg : cp.segments) total += seg.dur();
+  EXPECT_EQ(total, r.makespan);
+}
+
+TEST(MultiApp, ObserversAttachAndDetachedRunIsBitIdentical) {
+  const Trace a = workloads::make_gaussian({.n = 40});
+  const Trace b = waiting_trace();
+  std::vector<ScheduleEntry> detached_sched;
+  std::vector<ScheduleEntry> attached_sched;
+  NexusSharp m1(sharp4());
+  RuntimeConfig plain;
+  plain.workers = 8;
+  plain.schedule_out = &detached_sched;
+  const MultiAppResult detached = run_multi_app({&a, &b}, m1, plain);
+
+  telemetry::MetricRegistry reg;
+  telemetry::TimelineConfig tcfg;
+  tcfg.interval_ps = 10'000'000;
+  telemetry::TimelineRecorder timeline(reg, tcfg);
+  telemetry::Profiler prof;
+  RuntimeConfig observed = plain;
+  observed.schedule_out = &attached_sched;
+  observed.metrics = &reg;
+  observed.timeline = &timeline;
+  observed.profiler = &prof;
+  NexusSharp m2(sharp4());
+  const MultiAppResult attached = run_multi_app({&a, &b}, m2, observed);
+
+  EXPECT_EQ(attached.makespan, detached.makespan);
+  EXPECT_EQ(attached.app_completion, detached.app_completion);
+  EXPECT_EQ(schedule_hash(attached_sched), schedule_hash(detached_sched));
+
+  const telemetry::Timeline tl = timeline.freeze();
+  EXPECT_GT(tl.t.size(), 1u);
+  EXPECT_NE(tl.find("runtime/dispatches"), nullptr);
+  const telemetry::ProfileData pd = prof.freeze();
+  EXPECT_GT(pd.nodes[0].total_ns, 0u);
+  EXPECT_NE(pd.find("handle;driver"), nullptr);
+}
+
+TEST(AdapterDeathTest, RejectFieldsTheyCannotHonour) {
+  // Every RuntimeConfig field is honoured or rejected at entry, never
+  // dropped. open_loop paces one trace's submissions: a co-run of apps (or
+  // of tenants, which carry their own release times) cannot use it.
+  const Trace tr = independent_trace(4, us(1));
+  OpenLoopSubmission arrivals;
+  arrivals.release.assign(tr.num_tasks(), 0);
+  RuntimeConfig open_loop;
+  open_loop.open_loop = &arrivals;
+  IdealManager mgr;
+  EXPECT_DEATH(run_multi_app({&tr}, mgr, open_loop), "run_multi_app: .*open_loop");
+  const TenantStream stream{&tr, std::vector<Tick>(tr.num_tasks(), 0)};
+  EXPECT_DEATH(run_tenants({stream}, mgr, open_loop), "run_tenants: .*open_loop");
+  // A timeline samples a registry; without one there is nothing to sample.
+  telemetry::MetricRegistry reg;
+  telemetry::TimelineRecorder timeline(reg);
+  RuntimeConfig no_metrics;
+  no_metrics.timeline = &timeline;
+  EXPECT_DEATH(run_trace(tr, mgr, no_metrics), "timeline requires");
 }
 
 }  // namespace

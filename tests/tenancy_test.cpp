@@ -13,7 +13,11 @@
 #include "nexus/runtime/schedule_validator.hpp"
 #include "nexus/runtime/tenancy.hpp"
 #include "nexus/sim/event_queue.hpp"
+#include "nexus/telemetry/critical_path.hpp"
+#include "nexus/telemetry/profiler.hpp"
 #include "nexus/telemetry/registry.hpp"
+#include "nexus/telemetry/timeline.hpp"
+#include "nexus/telemetry/trace.hpp"
 #include "nexus/workloads/arrivals.hpp"
 #include "nexus/workloads/workloads.hpp"
 
@@ -393,6 +397,134 @@ TEST(Fairness, ReportAndGaugesAreConsistent) {
   EXPECT_EQ(jain->gauge, std::llround(rep.jain * 1e6));
   EXPECT_NE(snap.find("fairness/tenant0/slowdown_x1e3"), nullptr);
   EXPECT_NE(snap.find("runtime/offered"), nullptr);
+}
+
+TEST(Fairness, SoloBaselinesStayOutOfCallerSchedule) {
+  // The caller's schedule_out describes the co-run only: solo baselines
+  // number their tasks locally and must not append to it.
+  TenantSet set = make_tenants({2e6, 1e6, 5e5}, 40);
+  harness::ManagerSpec spec = harness::ManagerSpec::nexussharp(4, 100.0);
+  spec.sharp.tenancy.tenants = 3;
+  std::vector<ScheduleEntry> sched;
+  RuntimeConfig rc;
+  rc.schedule_out = &sched;
+  const harness::FairnessReport rep =
+      harness::run_fairness(set.streams, spec, 4, rc);
+  ASSERT_EQ(sched.size(), rep.corun.total_tasks);
+  std::vector<bool> seen(sched.size(), false);
+  for (const ScheduleEntry& e : sched) {
+    ASSERT_LT(e.task, sched.size());
+    EXPECT_FALSE(seen[e.task]) << "task " << e.task << " listed twice";
+    seen[e.task] = true;
+  }
+}
+
+// --- one driver: host NoC, traces and observers apply to tenancy runs -------
+
+NexusSharpConfig qos_cfg() {
+  NexusSharpConfig cfg = sharp_cfg(2);
+  cfg.pool_capacity = 48;
+  cfg.tenancy.tenants = 3;
+  cfg.tenancy.quota.pool = 12;
+  cfg.tenancy.weights = {2, 1, 1};
+  return cfg;
+}
+
+TEST(Tenancy, HostMeshNocMovesTheMakespan) {
+  // Dispatches and finish notifications cross the host NoC in a tenancy
+  // run too, so a mesh between manager and cores changes the outcome.
+  TenantSet set = make_tenants({4e6, 1e6, 1e6}, 120);
+  NexusSharp ideal_mgr(qos_cfg());
+  const TenantRunResult ideal =
+      run_tenants(set.streams, ideal_mgr, RuntimeConfig{.workers = 8});
+  NexusSharp mesh_mgr(qos_cfg());
+  RuntimeConfig rc;
+  rc.workers = 8;
+  rc.noc.kind = noc::TopologyKind::kMesh;
+  const TenantRunResult mesh = run_tenants(set.streams, mesh_mgr, rc);
+  EXPECT_EQ(mesh.total_tasks, ideal.total_tasks);
+  EXPECT_NE(mesh.makespan, ideal.makespan);
+  EXPECT_EQ(mesh_mgr.stats().sim_tasks_live, 0u);
+}
+
+TEST(Tenancy, TracedRunConservesSpansAndCriticalPath) {
+  TenantSet set = make_tenants({4e6, 1e6, 1e6}, 120);
+  NexusSharp mgr(qos_cfg());
+  telemetry::TraceRecorder rec;
+  telemetry::MetricRegistry reg;
+  RuntimeConfig rc;
+  rc.workers = 8;
+  rc.trace = &rec;
+  rc.metrics = &reg;
+  const TenantRunResult r = run_tenants(set.streams, mgr, rc);
+  const telemetry::TraceData td = rec.freeze();
+  ASSERT_EQ(td.tasks.size(), r.total_tasks);
+  EXPECT_EQ(td.makespan, r.makespan);
+
+  // Sojourns rebuilt from the span chains equal the driver's histogram.
+  std::uint64_t sum = 0;
+  for (const telemetry::TaskSpan& s : td.tasks) {
+    ASSERT_TRUE(s.complete()) << "task " << s.task;
+    const telemetry::TaskPhases p = telemetry::phases_of(s);
+    EXPECT_EQ(p.ingest + p.dep_wait + p.writeback + p.queue_wait +
+                  p.dispatch + p.execute,
+              s.sojourn());
+    sum += static_cast<std::uint64_t>(s.sojourn());
+  }
+  const telemetry::Snapshot snap = reg.snapshot();
+  const telemetry::MetricValue* soj = snap.find("runtime/sojourn_ps");
+  ASSERT_NE(soj, nullptr);
+  EXPECT_EQ(soj->hist.count, r.total_tasks);
+  EXPECT_EQ(soj->hist.sum, sum);
+
+  // The critical path tiles [0, makespan] exactly.
+  const telemetry::CriticalPathReport cp = telemetry::critical_path(td);
+  telemetry::TraceTick total = 0;
+  for (const telemetry::PathSegment& seg : cp.segments) total += seg.dur();
+  EXPECT_EQ(total, r.makespan);
+}
+
+TEST(Tenancy, ObserversAttachAndDetachedRunIsBitIdentical) {
+  TenantSet set = make_tenants({4e6, 1e6, 1e6}, 120);
+  std::vector<ScheduleEntry> detached_sched;
+  std::vector<ScheduleEntry> attached_sched;
+  NexusSharp m1(qos_cfg());
+  RuntimeConfig plain;
+  plain.workers = 8;
+  plain.schedule_out = &detached_sched;
+  const TenantRunResult detached = run_tenants(set.streams, m1, plain);
+
+  telemetry::MetricRegistry reg;
+  telemetry::TimelineConfig tcfg;
+  tcfg.interval_ps = 10'000'000;
+  telemetry::TimelineRecorder timeline(reg, tcfg);
+  telemetry::Profiler prof;
+  RuntimeConfig observed = plain;
+  observed.schedule_out = &attached_sched;
+  observed.metrics = &reg;
+  observed.timeline = &timeline;
+  observed.profiler = &prof;
+  NexusSharp m2(qos_cfg());
+  const TenantRunResult attached = run_tenants(set.streams, m2, observed);
+
+  EXPECT_EQ(attached.makespan, detached.makespan);
+  for (std::size_t t = 0; t < detached.tenants.size(); ++t) {
+    EXPECT_EQ(attached.tenants[t].raw, detached.tenants[t].raw) << t;
+    EXPECT_EQ(attached.tenants[t].nack_holds, detached.tenants[t].nack_holds);
+  }
+  ASSERT_EQ(attached_sched.size(), detached_sched.size());
+  for (std::size_t i = 0; i < detached_sched.size(); ++i) {
+    EXPECT_EQ(attached_sched[i].task, detached_sched[i].task) << i;
+    EXPECT_EQ(attached_sched[i].worker, detached_sched[i].worker) << i;
+    EXPECT_EQ(attached_sched[i].start, detached_sched[i].start) << i;
+  }
+
+  const telemetry::Timeline tl = timeline.freeze();
+  EXPECT_GT(tl.t.size(), 1u);
+  EXPECT_NE(tl.find("runtime/dispatches"), nullptr);
+  const telemetry::ProfileData pd = prof.freeze();
+  EXPECT_GT(pd.nodes[0].total_ns, 0u);
+  EXPECT_NE(pd.find("handle;driver"), nullptr);
 }
 
 TEST(Tenancy, TenantTelemetryPathsAreZeroPadded) {

@@ -3,7 +3,9 @@
 // Table III (Gaussian elimination) and the dependency patterns of Section V-A.
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <set>
+#include <thread>
 #include <string>
 #include <vector>
 
@@ -122,6 +124,32 @@ TEST(SparseLu, StructuralMaskMatchesKnownCounts) {
   // Regression anchor for the canonical structural-sparsity pattern.
   EXPECT_EQ(sparselu_task_count(50, sparselu_structural_mask(50)), 11725u);
   EXPECT_EQ(sparselu_task_count(84, sparselu_structural_mask(84)), 53018u);
+}
+
+TEST(SparseLu, ConcurrentGenerationMatchesSerial) {
+  // Two threads generate the same not-yet-memoized configuration at once:
+  // both miss the mask memo and insert into it. Under ThreadSanitizer an
+  // unguarded memo reports the race; here both traces must also equal a
+  // serial generation.
+  SparseLuConfig cfg;
+  cfg.nb = 30;
+  cfg.target_tasks = sparselu_task_count(30, sparselu_structural_mask(30)) + 40;
+  std::vector<Trace> out(2);
+  std::latch start(2);
+  {
+    std::jthread a([&] {
+      start.arrive_and_wait();
+      out[0] = make_sparselu(cfg);
+    });
+    std::jthread b([&] {
+      start.arrive_and_wait();
+      out[1] = make_sparselu(cfg);
+    });
+  }
+  const Trace serial = make_sparselu(cfg);
+  EXPECT_EQ(out[0].num_tasks(), serial.num_tasks());
+  EXPECT_EQ(trace_fingerprint(out[0]), trace_fingerprint(serial));
+  EXPECT_EQ(trace_fingerprint(out[1]), trace_fingerprint(serial));
 }
 
 // ---------- Table II: streamcluster ----------
