@@ -15,10 +15,24 @@ namespace {
   std::exit(2);
 }
 
+/// Whole-string numeric parse: false on no digits or trailing characters.
+bool parse_int(const std::string& text, std::int64_t* out) {
+  char* end = nullptr;
+  *out = std::strtoll(text.c_str(), &end, 10);
+  return end != text.c_str() && *end == '\0';
+}
+
+bool parse_double(const std::string& text, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(text.c_str(), &end);
+  return end != text.c_str() && *end == '\0';
+}
+
 }  // namespace
 
 Flags::Flags(int argc, const char* const* argv,
-             const std::map<std::string, std::string>& spec) {
+             const std::map<std::string, std::string>& spec)
+    : spec_(spec) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) usage_and_exit(spec, arg);
@@ -50,12 +64,20 @@ std::string Flags::get(const std::string& key, const std::string& dflt) const {
 
 std::int64_t Flags::get_int(const std::string& key, std::int64_t dflt) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? dflt : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) return dflt;
+  std::int64_t v = 0;
+  if (!parse_int(it->second, &v))
+    usage_and_exit(spec_, "--" + key + "=" + it->second);
+  return v;
 }
 
 double Flags::get_double(const std::string& key, double dflt) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? dflt : std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return dflt;
+  double v = 0.0;
+  if (!parse_double(it->second, &v))
+    usage_and_exit(spec_, "--" + key + "=" + it->second);
+  return v;
 }
 
 bool Flags::get_bool(const std::string& key, bool dflt) const {
@@ -72,7 +94,11 @@ std::vector<std::int64_t> Flags::get_int_list(
   std::stringstream ss(it->second);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::strtoll(item.c_str(), nullptr, 10));
+    if (item.empty()) continue;
+    std::int64_t v = 0;
+    if (!parse_int(item, &v))
+      usage_and_exit(spec_, "--" + key + "=" + it->second);
+    out.push_back(v);
   }
   return out;
 }

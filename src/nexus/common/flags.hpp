@@ -1,7 +1,8 @@
 // Minimal command-line flag parser for bench/example binaries.
 //
-// Supports `--key=value` and `--key value`; unrecognized flags abort with a
-// usage message so experiment invocations never silently ignore a typo.
+// Supports `--key=value` and `--key value`; unrecognized flags, and numeric
+// values that do not parse whole (`--cores=8x`, `--events=abc`), abort with
+// a usage message so experiment invocations never silently ignore a typo.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +30,7 @@ class Flags {
       const std::string& key, const std::vector<std::int64_t>& dflt) const;
 
  private:
+  std::map<std::string, std::string> spec_;
   std::map<std::string, std::string> values_;
 };
 

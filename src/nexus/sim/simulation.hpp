@@ -1,29 +1,22 @@
 // Deterministic discrete-event simulation kernel.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <queue>
 #include <string_view>
 #include <vector>
 
 #include "nexus/sim/component.hpp"
 #include "nexus/sim/event.hpp"
-#include "nexus/sim/event_queue.hpp"
 #include "nexus/telemetry/fwd.hpp"
 
 namespace nexus {
 
+/// Pending events pop in (time, issue seq) order, so same-tick events pop
+/// in insertion order.
 class Simulation {
  public:
-  /// Pending events live in the process-default queue implementation (see
-  /// default_queue_kind(): NEXUS_SIM_QUEUE or the calendar queue). The pop
-  /// order — (time, issue seq), so same-tick events pop in insertion
-  /// order — is a queue-independent contract: every implementation yields
-  /// bit-identical schedules (differential-tested).
-  Simulation() : Simulation(default_queue_kind()) {}
-  explicit Simulation(QueueKind kind) : queue_(kind) {}
-
-  [[nodiscard]] QueueKind queue_kind() const { return queue_.kind(); }
-
   /// Register a component; returns its id for event addressing.
   /// The component must outlive the simulation. Not owned.
   std::uint32_t add_component(Component* c);
@@ -39,7 +32,7 @@ class Simulation {
   }
 
   /// Run until the event queue drains (or a component calls stop()).
-  void run();
+  void run() { run_some(~std::uint64_t{0}); }
 
   /// Run at most `max_events` more events; returns false if the queue drained.
   bool run_some(std::uint64_t max_events);
@@ -52,22 +45,20 @@ class Simulation {
 
   /// Register kernel metrics under `prefix`: total events, a histogram of
   /// time advances, per-component event counts plus inter-event sim-time
-  /// histograms ("<prefix>/c<i>_<label>/..."), and the event-queue
-  /// structure gauges ("<prefix>/queue/...": calendar grows/shrinks/sweeps,
-  /// arena alloc/reuse/high-water, max bucket occupancy, max pending
-  /// depth — flushed from the queue's cumulative counters at the end of
-  /// each run()/run_some() call). Call after every component has been
-  /// added (attach time); later components are not covered.
+  /// histograms ("<prefix>/c<i>_<label>/..."), and the pending-event
+  /// high-water ("<prefix>/queue/max_depth", flushed at the end of each
+  /// run()/run_some() call). Call after every component has been added
+  /// (attach time); later components are not covered.
   void bind_telemetry(telemetry::MetricRegistry& reg,
                       std::string_view prefix = "sim");
 
   /// Attach the host-side self-profiler (not owned). Creates a stable node
-  /// layout under `parent`: "queue" with push/pop/rebuild/sweep timers and
-  /// the calendar/arena structure stats, and "handle" with one child per
-  /// component *type* (telemetry_label(), so replicated components
-  /// aggregate). Call after every component has been added, like
-  /// bind_telemetry. Detached (never called), the hot loop pays a single
-  /// branch per run call and schedules stay bit-identical.
+  /// layout under `parent`: "queue" with push/pop timers and the max_depth
+  /// stat, and "handle" with one child per component *type*
+  /// (telemetry_label(), so replicated components aggregate). Call after
+  /// every component has been added, like bind_telemetry. Detached (never
+  /// called), the hot loop pays a single branch per run call and schedules
+  /// stay bit-identical.
   void bind_profiler(telemetry::Profiler& prof, std::uint32_t parent = 0);
 
   /// The profile node a component's handle() time accumulates into
@@ -89,6 +80,16 @@ class Simulation {
   void set_sampler(telemetry::TimelineRecorder* sampler);
 
  private:
+  void push(const Event& ev) {
+    queue_.push(ev);
+    if (queue_.size() > max_depth_) max_depth_ = queue_.size();
+  }
+  Event pop() {
+    const Event ev = queue_.top();
+    queue_.pop();
+    return ev;
+  }
+
   /// Per-event metric hook; a single null check when telemetry is unbound.
   void observe(const Event& ev) {
     if (sampler_ != nullptr) sample_to(ev.t);
@@ -98,16 +99,15 @@ class Simulation {
   void observe_slow(const Event& ev);
   void sample_to(Tick t);
 
-  /// The instrumented twin of the run loops (only entered when a profiler
-  /// is bound, so the detached loops stay untouched).
+  /// The instrumented twin of the run loop (only entered when a profiler
+  /// is bound, so the detached loop stays untouched).
   bool run_profiled(std::uint64_t max_events);
-  /// Re-flush the queue's cumulative structure stats into their profile
-  /// nodes (absolute values, so repeated flushes are idempotent).
-  void flush_queue_stats();
-  /// Same, into the telemetry gauges (run epilogue; one null check).
+  /// Publish max_depth_ to the telemetry gauge (run epilogue; one null
+  /// check).
   void flush_queue_metrics();
 
-  EventQueue queue_;
+  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  std::size_t max_depth_ = 0;  ///< deepest the pending set has ever been
   std::vector<Component*> components_;
   Tick now_ = 0;
   std::uint64_t seq_ = 0;
@@ -119,12 +119,6 @@ class Simulation {
   std::uint32_t prof_pop_ = 0;
   std::uint32_t prof_handle_ = 0;
   std::vector<std::uint32_t> prof_comp_node_;  ///< per component id
-  std::uint32_t prof_grows_ = 0;
-  std::uint32_t prof_shrinks_ = 0;
-  std::uint32_t prof_arena_alloc_ = 0;
-  std::uint32_t prof_arena_reuse_ = 0;
-  std::uint32_t prof_arena_high_ = 0;
-  std::uint32_t prof_max_bucket_ = 0;
   std::uint32_t prof_max_depth_ = 0;
 
   telemetry::TimelineRecorder* sampler_ = nullptr;
@@ -133,17 +127,7 @@ class Simulation {
   std::vector<telemetry::Counter*> comp_events_;
   std::vector<telemetry::Histogram*> comp_gap_;  ///< per-component event gaps
   std::vector<Tick> comp_last_;
-
-  // Event-queue structure gauges (null until bind_telemetry; flushed from
-  // the queue's cumulative counters at the end of each run call).
-  telemetry::Gauge* m_q_grows_ = nullptr;
-  telemetry::Gauge* m_q_shrinks_ = nullptr;
-  telemetry::Gauge* m_q_sweeps_ = nullptr;
-  telemetry::Gauge* m_q_arena_allocs_ = nullptr;
-  telemetry::Gauge* m_q_arena_reuses_ = nullptr;
-  telemetry::Gauge* m_q_arena_high_ = nullptr;
-  telemetry::Gauge* m_q_max_bucket_ = nullptr;
-  telemetry::Gauge* m_q_max_depth_ = nullptr;
+  telemetry::Gauge* m_q_max_depth_ = nullptr;  ///< null until bind_telemetry
 };
 
 }  // namespace nexus

@@ -183,12 +183,15 @@ TEST(Stats, BalanceReportSkewed) {
 // ---------- Flags ----------
 
 TEST(Flags, ParsesKeyValueForms) {
-  const char* argv[] = {"prog", "--cores=8", "--freq", "55.56", "--csv"};
+  const char* argv[] = {"prog",  "--cores=8", "--freq",    "55.56",
+                        "--csv", "--seed=-3", "--rate=4e6"};
   const std::map<std::string, std::string> spec = {
-      {"cores", ""}, {"freq", ""}, {"csv", ""}};
-  Flags f(5, argv, spec);
+      {"cores", ""}, {"freq", ""}, {"csv", ""}, {"seed", ""}, {"rate", ""}};
+  Flags f(7, argv, spec);
   EXPECT_EQ(f.get_int("cores", 0), 8);
+  EXPECT_EQ(f.get_int("seed", 0), -3);
   EXPECT_NEAR(f.get_double("freq", 0.0), 55.56, 1e-9);
+  EXPECT_DOUBLE_EQ(f.get_double("rate", 0.0), 4e6);
   EXPECT_TRUE(f.get_bool("csv", false));
   EXPECT_EQ(f.get_int("absent", 17), 17);
 }
@@ -199,6 +202,36 @@ TEST(Flags, ParsesIntList) {
   const auto v = f.get_int_list("cores", {});
   ASSERT_EQ(v.size(), 4u);
   EXPECT_EQ(v[3], 8);
+}
+
+using FlagsDeathTest = ::testing::Test;
+
+// A numeric value must parse whole: no digits, or trailing characters,
+// exit 2 with the same usage message an unknown flag gets.
+TEST(FlagsDeathTest, RejectsMalformedNumbers) {
+  const std::map<std::string, std::string> spec = {{"cores", ""},
+                                                    {"freq", ""}};
+  auto get_int = [&spec](const char* arg) {
+    const char* argv[] = {"prog", arg};
+    (void)Flags(2, argv, spec).get_int("cores", 0);
+  };
+  auto get_double = [&spec](const char* arg) {
+    const char* argv[] = {"prog", arg};
+    (void)Flags(2, argv, spec).get_double("freq", 0.0);
+  };
+  auto get_list = [&spec](const char* arg) {
+    const char* argv[] = {"prog", arg};
+    (void)Flags(2, argv, spec).get_int_list("cores", {});
+  };
+  const auto exit2 = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(get_int("--cores=8x"), exit2, "malformed flag: --cores=8x");
+  EXPECT_EXIT(get_int("--cores=abc"), exit2, "malformed flag: --cores=abc");
+  EXPECT_EXIT(get_int("--cores="), exit2, "malformed flag: --cores=");
+  EXPECT_EXIT(get_int("--cores=1e6"), exit2, "malformed flag");
+  EXPECT_EXIT(get_double("--freq=55.5MHz"), exit2, "malformed flag");
+  EXPECT_EXIT(get_double("--freq=fast"), exit2, "malformed flag");
+  EXPECT_EXIT(get_list("--cores=4,x"), exit2, "malformed flag: --cores=4,x");
+  EXPECT_EXIT(get_list("--cores=4,8y"), exit2, "supported flags:");
 }
 
 // ---------- TextTable ----------

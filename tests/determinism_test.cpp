@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "nexus/common/rng.hpp"
@@ -13,7 +13,6 @@
 #include "nexus/nexussharp/nexussharp.hpp"
 #include "nexus/noc/placement.hpp"
 #include "nexus/runtime/simulation_driver.hpp"
-#include "nexus/sim/event_queue.hpp"
 #include "nexus/sim/simulation.hpp"
 #include "nexus/task/trace.hpp"
 #include "nexus/task/trace_stats.hpp"
@@ -25,22 +24,6 @@
 
 namespace nexus {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Every Simulation a concurrent sweep constructs reads the process-wide
-// default queue kind. Defined first so that, when the whole binary runs in
-// one process (check.sh --tsan), these threads make the first calls.
-// ---------------------------------------------------------------------------
-
-TEST(ThreadSafety, DefaultQueueKindResolvesOnceAcrossThreads) {
-  std::vector<QueueKind> seen(4, QueueKind::kBinaryHeap);
-  {
-    std::vector<std::jthread> threads;
-    for (std::size_t i = 0; i < seen.size(); ++i)
-      threads.emplace_back([&seen, i] { seen[i] = default_queue_kind(); });
-  }
-  for (const QueueKind k : seen) EXPECT_EQ(k, default_queue_kind());
-}
 
 // ---------------------------------------------------------------------------
 // RNG engine: identical seed => identical stream; different seed => different.
@@ -298,6 +281,59 @@ TEST(Determinism, NetworkEventOrderingReproduces) {
   }
 }
 
+// Open-loop serving: the arrival generator plus the release-gated driver
+// must reproduce the executed schedule and the BENCH record byte for byte
+// on every interconnect (what pins BENCH_serving.json).
+TEST(Determinism, OpenLoopServingReproducesOnEveryTopology) {
+  workloads::ArrivalConfig acfg;
+  acfg.process = workloads::ArrivalProcess::kBursty;
+  acfg.tasks = 250;
+  acfg.clients = 4;
+  acfg.kernel = "h264dec-8x8-10f";
+  acfg.rate_hz = 4e6;
+  const workloads::ArrivalSchedule sched = workloads::generate_arrivals(acfg);
+  const Trace tr = workloads::make_serving_trace(sched);
+
+  for (const noc::TopologyKind topo :
+       {noc::TopologyKind::kIdeal, noc::TopologyKind::kMesh,
+        noc::TopologyKind::kTorus}) {
+    auto run_once = [&](std::vector<ScheduleEntry>* out) {
+      telemetry::MetricRegistry reg;
+      NexusSharpConfig cfg;
+      cfg.num_task_graphs = 4;
+      cfg.freq_mhz = 100.0;
+      cfg.noc.kind = topo;
+      NexusSharp mgr(cfg);
+      RuntimeConfig rc;
+      rc.workers = 8;
+      rc.noc.kind = topo;
+      rc.open_loop = &sched.submission;
+      rc.schedule_out = out;
+      rc.metrics = &reg;
+      const RunResult r = run_trace(tr, mgr, rc);
+      const telemetry::Snapshot snap = reg.snapshot();
+      return harness::metrics_report_json("determinism", "serving-bursty",
+                                          "nexus#-4TG", 8, r.makespan, 0.0,
+                                          &snap, nullptr, noc::to_string(topo));
+    };
+    std::vector<ScheduleEntry> sched_a, sched_b;
+    const std::string a = run_once(&sched_a);
+    const std::string b = run_once(&sched_b);
+    EXPECT_EQ(a, b) << noc::to_string(topo);
+    ASSERT_EQ(sched_a.size(), tr.num_tasks()) << noc::to_string(topo);
+    ASSERT_EQ(sched_a.size(), sched_b.size());
+    for (std::size_t i = 0; i < sched_a.size(); ++i) {
+      ASSERT_EQ(sched_a[i].task, sched_b[i].task) << "entry " << i;
+      ASSERT_EQ(sched_a[i].worker, sched_b[i].worker) << "entry " << i;
+      ASSERT_EQ(sched_a[i].start, sched_b[i].start) << "entry " << i;
+      ASSERT_EQ(sched_a[i].end, sched_b[i].end) << "entry " << i;
+      // Release gating held: no early starts.
+      ASSERT_GE(sched_a[i].start, sched.submission.release[sched_a[i].task])
+          << sched_a[i].task;
+    }
+  }
+}
+
 TEST(Determinism, PlacementSearchReproduces) {
   // End-to-end reproducibility of the placement pipeline: two identical
   // mesh runs measure bit-identical traffic matrices, and two searches over
@@ -364,208 +400,6 @@ TEST(Determinism, TorusRunWithPlacementReproduces) {
   for (std::size_t i = 0; i < sa.size(); ++i) {
     EXPECT_EQ(sa[i].task, sb[i].task) << "entry " << i;
     EXPECT_EQ(sa[i].start, sb[i].start) << "entry " << i;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Queue-implementation sweep: the kernel's pop-order contract ((time, issue
-// seq), same-tick ties in insertion order) is queue-independent, so the
-// binary heap and the calendar queue must produce bit-identical schedules
-// AND bit-identical telemetry — not merely equal makespans — on every
-// configuration the stack can run. This is what pins the six pre-existing
-// BENCH records across the scheduler swap.
-// ---------------------------------------------------------------------------
-
-/// Restores the process-default queue kind on scope exit (the sweep must
-/// not leak a kind into unrelated suites).
-class ScopedQueueKind {
- public:
-  explicit ScopedQueueKind(QueueKind k) : saved_(default_queue_kind()) {
-    set_default_queue_kind(k);
-  }
-  ~ScopedQueueKind() { set_default_queue_kind(saved_); }
-  ScopedQueueKind(const ScopedQueueKind&) = delete;
-  ScopedQueueKind& operator=(const ScopedQueueKind&) = delete;
-
- private:
-  QueueKind saved_;
-};
-
-constexpr QueueKind kBothKinds[] = {QueueKind::kBinaryHeap,
-                                    QueueKind::kCalendar};
-
-/// Queue-structure gauges (sim/queue/*: calendar lane grows/shrinks, arena
-/// slab reuse, bucket occupancy) describe the queue *implementation*, not
-/// the simulated workload, so they legitimately differ across queue kinds.
-/// The cross-kind contract covers everything else: schedules, makespans,
-/// event counts, and all workload-visible metrics stay bit-identical.
-telemetry::Snapshot drop_queue_structure_gauges(telemetry::Snapshot snap) {
-  std::erase_if(snap.values, [](const telemetry::MetricValue& v) {
-    return v.path.rfind("sim/queue/", 0) == 0;
-  });
-  return snap;
-}
-
-/// Everything observable about one run: the result scalars, the full
-/// per-worker schedule, and the complete metric snapshot as JSON.
-struct ObservedRun {
-  Tick makespan = 0;
-  std::uint64_t events = 0;
-  std::vector<ScheduleEntry> schedule;
-  std::string metrics_json;
-};
-
-void expect_runs_identical(const ObservedRun& x, const ObservedRun& y,
-                           const char* what) {
-  EXPECT_EQ(x.makespan, y.makespan) << what;
-  EXPECT_EQ(x.events, y.events) << what;
-  EXPECT_EQ(x.metrics_json, y.metrics_json) << what;
-  ASSERT_EQ(x.schedule.size(), y.schedule.size()) << what;
-  for (std::size_t i = 0; i < x.schedule.size(); ++i) {
-    ASSERT_EQ(x.schedule[i].task, y.schedule[i].task) << what << " entry " << i;
-    ASSERT_EQ(x.schedule[i].worker, y.schedule[i].worker)
-        << what << " entry " << i;
-    ASSERT_EQ(x.schedule[i].start, y.schedule[i].start)
-        << what << " entry " << i;
-    ASSERT_EQ(x.schedule[i].end, y.schedule[i].end) << what << " entry " << i;
-  }
-}
-
-ObservedRun run_observed(const Trace& tr, noc::TopologyKind mgr_noc,
-                         noc::TopologyKind host_noc) {
-  ObservedRun out;
-  telemetry::MetricRegistry reg;
-  NexusSharpConfig cfg;
-  cfg.num_task_graphs = 4;
-  cfg.freq_mhz = 100.0;
-  cfg.noc.kind = mgr_noc;
-  NexusSharp mgr(cfg);
-  RuntimeConfig rc;
-  rc.workers = 8;
-  rc.noc.kind = host_noc;
-  rc.schedule_out = &out.schedule;
-  rc.metrics = &reg;
-  const RunResult r = run_trace(tr, mgr, rc);
-  out.makespan = r.makespan;
-  out.events = r.events;
-  out.metrics_json =
-      telemetry::snapshot_json(drop_queue_structure_gauges(reg.snapshot()));
-  return out;
-}
-
-TEST(QueueKindSweep, RunTraceIdenticalUnderHeapAndCalendar) {
-  workloads::GaussianConfig gcfg;
-  gcfg.n = 60;
-  const Trace tr = workloads::make_gaussian(gcfg);
-  std::vector<ObservedRun> runs;
-  for (const QueueKind kind : kBothKinds) {
-    ScopedQueueKind guard(kind);
-    runs.push_back(run_observed(tr, noc::TopologyKind::kIdeal,
-                                noc::TopologyKind::kIdeal));
-  }
-  ASSERT_GT(runs[0].events, 1000u);
-  expect_runs_identical(runs[0], runs[1], "ideal-topology run");
-}
-
-TEST(QueueKindSweep, NocRunIdenticalUnderHeapAndCalendar) {
-  // Mesh manager fabric + ring host fabric: per-hop events and link-FIFO
-  // ordering are exactly where a queue that mis-breaks ties would diverge.
-  workloads::GaussianConfig gcfg;
-  gcfg.n = 60;
-  const Trace tr = workloads::make_gaussian(gcfg);
-  std::vector<ObservedRun> runs;
-  for (const QueueKind kind : kBothKinds) {
-    ScopedQueueKind guard(kind);
-    runs.push_back(
-        run_observed(tr, noc::TopologyKind::kMesh, noc::TopologyKind::kRing));
-  }
-  expect_runs_identical(runs[0], runs[1], "mesh+ring run");
-}
-
-TEST(QueueKindSweep, PlacementPipelineIdenticalUnderHeapAndCalendar) {
-  // The placement search consumes a traffic matrix measured by a NoC run;
-  // identical matrices across queue kinds mean identical search inputs, and
-  // the seeded search itself does not touch the DES at all.
-  const Trace tr = workloads::make_h264dec(workloads::h264_config(8));
-  std::vector<std::vector<std::uint64_t>> traffic;
-  for (const QueueKind kind : kBothKinds) {
-    ScopedQueueKind guard(kind);
-    NexusSharpConfig cfg;
-    cfg.num_task_graphs = 6;
-    cfg.freq_mhz = 100.0;
-    cfg.noc.kind = noc::TopologyKind::kMesh;
-    NexusSharp mgr(cfg);
-    run_trace(tr, mgr, RuntimeConfig{.workers = 16});
-    traffic.push_back(mgr.network().stats().traffic);
-  }
-  ASSERT_EQ(traffic[0], traffic[1]) << "traffic matrices diverged across kinds";
-
-  const std::uint32_t endpoints = sharp_noc_endpoints(6);
-  const noc::Topology topo(noc::TopologyKind::kMesh, endpoints);
-  const noc::TrafficMatrix m =
-      noc::TrafficMatrix::from_network(endpoints, traffic[0]);
-  const noc::PlacementResult a = noc::optimize_placement(topo, m);
-  const noc::PlacementResult b = noc::optimize_placement(topo, m);
-  EXPECT_EQ(a.assignment, b.assignment);
-  EXPECT_EQ(a.cost, b.cost);
-}
-
-// ---------------------------------------------------------------------------
-// Open-loop serving sweep: the arrival generators plus the release-gated
-// driver must stay bit-reproducible — same seed means identical executed
-// schedules AND identical BENCH records — across both event-queue kinds and
-// across ideal/mesh/torus interconnects. This is what pins the committed
-// BENCH_serving.json trajectory.
-// ---------------------------------------------------------------------------
-
-TEST(QueueKindSweep, OpenLoopServingIdenticalAcrossKindsAndTopologies) {
-  workloads::ArrivalConfig acfg;
-  acfg.process = workloads::ArrivalProcess::kBursty;
-  acfg.tasks = 250;
-  acfg.clients = 4;
-  acfg.kernel = "h264dec-8x8-10f";
-  acfg.rate_hz = 4e6;
-  const workloads::ArrivalSchedule sched = workloads::generate_arrivals(acfg);
-  const Trace tr = workloads::make_serving_trace(sched);
-
-  for (const noc::TopologyKind topo :
-       {noc::TopologyKind::kIdeal, noc::TopologyKind::kMesh,
-        noc::TopologyKind::kTorus}) {
-    std::vector<ObservedRun> runs;
-    std::vector<std::string> records;
-    for (const QueueKind kind : kBothKinds) {
-      ScopedQueueKind guard(kind);
-      ObservedRun out;
-      telemetry::MetricRegistry reg;
-      NexusSharpConfig cfg;
-      cfg.num_task_graphs = 4;
-      cfg.freq_mhz = 100.0;
-      cfg.noc.kind = topo;
-      NexusSharp mgr(cfg);
-      RuntimeConfig rc;
-      rc.workers = 8;
-      rc.noc.kind = topo;
-      rc.open_loop = &sched.submission;
-      rc.schedule_out = &out.schedule;
-      rc.metrics = &reg;
-      const RunResult r = run_trace(tr, mgr, rc);
-      out.makespan = r.makespan;
-      out.events = r.events;
-      const telemetry::Snapshot snap =
-          drop_queue_structure_gauges(reg.snapshot());
-      out.metrics_json = telemetry::snapshot_json(snap);
-      runs.push_back(std::move(out));
-      records.push_back(harness::metrics_report_json(
-          "determinism", "serving-bursty", "nexus#-4TG", 8, r.makespan, 0.0,
-          &snap, nullptr, noc::to_string(topo)));
-    }
-    expect_runs_identical(runs[0], runs[1], noc::to_string(topo));
-    EXPECT_EQ(records[0], records[1])
-        << "BENCH record diverged across queue kinds on "
-        << noc::to_string(topo);
-    // Release gating held on every interconnect: no early starts.
-    for (const ScheduleEntry& e : runs[0].schedule)
-      ASSERT_GE(e.start, sched.submission.release[e.task]) << e.task;
   }
 }
 

@@ -1,10 +1,8 @@
-// Million-event stress properties of the DES kernel: the calendar queue's
-// steady state must stop allocating (arena recycling), a hold-model storm
-// must produce the bit-identical event order under both queue
-// implementations even with a TimelineRecorder attached mid-run, and a full
-// runtime-over-NoC run must keep its conservation ledgers (per-core busy +
-// idle == makespan, injected == delivered flits) intact under either
-// scheduler.
+// Million-event stress properties of the DES kernel: a hold-model storm
+// must pop its pinned event order even with a TimelineRecorder attached
+// mid-run, and a full runtime-over-NoC run must keep its conservation
+// ledgers (per-core busy + idle == makespan, injected == delivered flits)
+// intact.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,7 +11,6 @@
 #include "nexus/common/rng.hpp"
 #include "nexus/nexussharp/nexussharp.hpp"
 #include "nexus/runtime/simulation_driver.hpp"
-#include "nexus/sim/event_queue.hpp"
 #include "nexus/sim/simulation.hpp"
 #include "nexus/telemetry/registry.hpp"
 #include "nexus/telemetry/timeline.hpp"
@@ -22,23 +19,10 @@
 namespace nexus {
 namespace {
 
-class ScopedQueueKind {
- public:
-  explicit ScopedQueueKind(QueueKind k) : saved_(default_queue_kind()) {
-    set_default_queue_kind(k);
-  }
-  ~ScopedQueueKind() { set_default_queue_kind(saved_); }
-  ScopedQueueKind(const ScopedQueueKind&) = delete;
-  ScopedQueueKind& operator=(const ScopedQueueKind&) = delete;
-
- private:
-  QueueKind saved_;
-};
-
 // ---------------------------------------------------------------------------
 // Hold-model storm: a fixed in-flight population where every handled event
 // schedules exactly one successor. The running checksum folds (t, a) in pop
-// order, so two runs agree iff their complete event sequences agree.
+// order, so it pins the complete event sequence.
 // ---------------------------------------------------------------------------
 
 constexpr Tick kMeanDelay = 20000;
@@ -73,22 +57,21 @@ struct StormOutcome {
   std::uint64_t checksum = 0;
 };
 
-/// Run `n_events` of the storm. With `timeline` set, kernel telemetry is
-/// bound and the recorder is attached *mid-run* (after a third of the
-/// budget) — attaching a sampler must not perturb the schedule.
-StormOutcome run_storm(QueueKind kind, std::uint64_t n_events,
-                       std::uint64_t inflight,
-                       telemetry::TimelineRecorder* timeline = nullptr,
-                       telemetry::MetricRegistry* reg = nullptr) {
+/// Run `n_events` of the storm with kernel telemetry bound and `timeline`
+/// attached *mid-run* (after a third of the budget) — attaching a sampler
+/// must not perturb the schedule.
+StormOutcome run_storm(std::uint64_t n_events, std::uint64_t inflight,
+                       telemetry::TimelineRecorder& timeline,
+                       telemetry::MetricRegistry& reg) {
   constexpr std::uint32_t kComps = 64;
-  Simulation sim(kind);
+  Simulation sim;
   std::uint64_t checksum = 0x6E78757353696D21ULL;
   std::vector<StormCore> cores;
   cores.reserve(kComps);
   for (std::uint32_t i = 0; i < kComps; ++i)
     cores.emplace_back(0x5EED0000 + i, kComps, &checksum);
   for (auto& c : cores) sim.add_component(&c);
-  if (reg != nullptr) sim.bind_telemetry(*reg);
+  sim.bind_telemetry(reg);
 
   Xoshiro256 prime(99);
   for (std::uint64_t i = 0; i < inflight; ++i) {
@@ -97,35 +80,30 @@ StormOutcome run_storm(QueueKind kind, std::uint64_t n_events,
     sim.schedule(t, dest, 0, i);
   }
 
-  if (timeline != nullptr) {
-    EXPECT_TRUE(sim.run_some(n_events / 3));
-    sim.set_sampler(timeline);  // mid-run attach
-    EXPECT_TRUE(sim.run_some(n_events - n_events / 3));
-    timeline->finish(sim.now());
-  } else {
-    EXPECT_TRUE(sim.run_some(n_events));
-  }
+  EXPECT_TRUE(sim.run_some(n_events / 3));
+  sim.set_sampler(&timeline);  // mid-run attach
+  EXPECT_TRUE(sim.run_some(n_events - n_events / 3));
+  timeline.finish(sim.now());
   return {sim.now(), sim.events_processed(), checksum};
 }
 
-TEST(SimStress, MillionEventStormIdenticalAcrossKindsWithMidRunTimeline) {
+TEST(SimStress, MillionEventStormPinnedWithMidRunTimeline) {
   constexpr std::uint64_t kEvents = 1000000;
   constexpr std::uint64_t kInflight = 1 << 16;
-
-  const StormOutcome heap = run_storm(QueueKind::kBinaryHeap, kEvents, kInflight);
 
   telemetry::MetricRegistry reg;
   telemetry::TimelineConfig cfg;
   cfg.interval_ps = 4096;
   telemetry::TimelineRecorder rec(reg, cfg);
-  const StormOutcome cal =
-      run_storm(QueueKind::kCalendar, kEvents, kInflight, &rec, &reg);
+  const StormOutcome storm = run_storm(kEvents, kInflight, rec, reg);
 
-  EXPECT_EQ(heap.events, kEvents);
-  EXPECT_EQ(cal.events, kEvents);
-  EXPECT_EQ(heap.makespan, cal.makespan);
-  EXPECT_EQ(heap.checksum, cal.checksum)
-      << "pop order diverged between heap and calendar";
+  EXPECT_EQ(storm.events, kEvents);
+  // Pinned: any change to the (t, seq) pop order moves these.
+  EXPECT_EQ(storm.makespan, Tick{337589});
+  EXPECT_EQ(storm.checksum, 0x2C2EC5133C663CA1ULL) << "pop order changed";
+  EXPECT_EQ(reg.snapshot().gauge_at("sim/queue/max_depth"),
+            static_cast<std::int64_t>(kInflight))
+      << "the hold model keeps the population constant";
 
   // The mid-run recorder really sampled, and its event counter is monotone
   // and consistent with the kernel's own count.
@@ -138,88 +116,46 @@ TEST(SimStress, MillionEventStormIdenticalAcrossKindsWithMidRunTimeline) {
   EXPECT_EQ(static_cast<std::uint64_t>(events->v.back()), kEvents);
 }
 
-TEST(SimStress, CalendarSteadyStateStopsAllocating) {
-  // Direct queue drive: after the population stabilises and resizes settle,
-  // bucket drains must recycle slabs through the arena instead of touching
-  // the allocator — `allocs` freezes while `reuses` keeps climbing.
-  EventQueue q(QueueKind::kCalendar);
-  Xoshiro256 rng(7);
-  std::uint64_t seq = 0;
-  Tick now = 0;
-  for (int i = 0; i < (1 << 15); ++i) {
-    const Tick t = static_cast<Tick>(rng.below(2 * kMeanDelay));
-    q.push(Event{t, seq, 0, 0, seq, 0});
-    ++seq;
-  }
-  auto spin = [&](std::uint64_t pops) {
-    for (std::uint64_t i = 0; i < pops; ++i) {
-      const Event ev = q.pop();
-      ASSERT_GE(ev.t, now);
-      now = ev.t;
-      const Tick d = static_cast<Tick>(rng.below(2 * kMeanDelay));
-      q.push(Event{now + d, seq, 0, 0, seq, 0});
-      ++seq;
-    }
-  };
-  spin(500000);  // warm-up: growth resizes, width re-measurement, pooling
-  const CalendarQueue::Stats warm = q.calendar_stats();
-  spin(500000);  // steady state
-  const CalendarQueue::Stats steady = q.calendar_stats();
-  EXPECT_GT(warm.grows, 0u);
-  EXPECT_EQ(steady.arena_allocs, warm.arena_allocs)
-      << "steady-state bucket churn hit the allocator";
-  EXPECT_GT(steady.arena_reuses, warm.arena_reuses);
-  EXPECT_EQ(q.size(), std::size_t{1} << 15);
-}
-
 // ---------------------------------------------------------------------------
-// Conservation ledgers through the full runtime stack, swept over both
-// queue implementations.
+// Conservation ledgers through the full runtime stack.
 // ---------------------------------------------------------------------------
 
-TEST(SimStress, LedgerAndFlitConservationUnderBothQueues) {
+TEST(SimStress, LedgerAndFlitConservation) {
   workloads::GaussianConfig gcfg;
   gcfg.n = 100;
   const Trace tr = workloads::make_gaussian(gcfg);
   constexpr std::uint32_t kWorkers = 8;
 
-  std::vector<Tick> makespans;
-  for (const QueueKind kind : {QueueKind::kBinaryHeap, QueueKind::kCalendar}) {
-    ScopedQueueKind guard(kind);
-    telemetry::MetricRegistry reg;
-    NexusSharpConfig cfg;
-    cfg.num_task_graphs = 4;
-    cfg.freq_mhz = 100.0;
-    NexusSharp mgr(cfg);
-    RuntimeConfig rc;
-    rc.workers = kWorkers;
-    rc.noc.kind = noc::TopologyKind::kMesh;  // host-side mesh fabric
-    rc.metrics = &reg;
-    const RunResult r = run_trace(tr, mgr, rc);
-    const telemetry::Snapshot snap = reg.snapshot();
-    const std::string tag = std::string("queue=") + to_string(kind);
+  telemetry::MetricRegistry reg;
+  NexusSharpConfig cfg;
+  cfg.num_task_graphs = 4;
+  cfg.freq_mhz = 100.0;
+  NexusSharp mgr(cfg);
+  RuntimeConfig rc;
+  rc.workers = kWorkers;
+  rc.noc.kind = noc::TopologyKind::kMesh;  // host-side mesh fabric
+  rc.metrics = &reg;
+  const RunResult r = run_trace(tr, mgr, rc);
+  const telemetry::Snapshot snap = reg.snapshot();
 
-    // Time ledger: every core's busy + idle spans the whole run exactly.
-    EXPECT_EQ(snap.gauge_at("runtime/makespan_ps"), r.makespan) << tag;
-    for (std::uint32_t w = 0; w < kWorkers; ++w) {
-      const std::string core = "runtime/core" + std::to_string(w);
-      EXPECT_EQ(snap.gauge_at(core + "/busy_ps") +
-                    snap.gauge_at(core + "/idle_ps"),
-                r.makespan)
-          << tag << " core " << w;
-    }
-
-    // Flit ledger at drain time: the host fabric delivered every flit it
-    // accepted (nothing parked in a link when the run ended).
-    const std::uint64_t injected = snap.counter_at("runtime/noc/flits");
-    const std::uint64_t delivered =
-        snap.counter_at("runtime/noc/delivered_flits");
-    EXPECT_GT(injected, 0u) << tag;
-    EXPECT_EQ(injected, delivered) << tag;
-    EXPECT_EQ(snap.counter_at("sim/events"), r.events) << tag;
-    makespans.push_back(r.makespan);
+  // Time ledger: every core's busy + idle spans the whole run exactly.
+  EXPECT_EQ(snap.gauge_at("runtime/makespan_ps"), r.makespan);
+  for (std::uint32_t w = 0; w < kWorkers; ++w) {
+    const std::string core = "runtime/core" + std::to_string(w);
+    EXPECT_EQ(snap.gauge_at(core + "/busy_ps") +
+                  snap.gauge_at(core + "/idle_ps"),
+              r.makespan)
+        << "core " << w;
   }
-  EXPECT_EQ(makespans[0], makespans[1]) << "kinds disagreed on the makespan";
+
+  // Flit ledger at drain time: the host fabric delivered every flit it
+  // accepted (nothing parked in a link when the run ended).
+  const std::uint64_t injected = snap.counter_at("runtime/noc/flits");
+  const std::uint64_t delivered =
+      snap.counter_at("runtime/noc/delivered_flits");
+  EXPECT_GT(injected, 0u);
+  EXPECT_EQ(injected, delivered);
+  EXPECT_EQ(snap.counter_at("sim/events"), r.events);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "nexus/sim/server.hpp"
 #include "nexus/sim/simulation.hpp"
 #include "nexus/sim/time.hpp"
+#include "nexus/telemetry/registry.hpp"
 
 namespace nexus {
 namespace {
@@ -108,6 +109,29 @@ TEST(Simulation, RunSomeResumable) {
   EXPECT_EQ(c.count, 5);
   EXPECT_FALSE(sim.run_some(1000));
   EXPECT_EQ(c.count, 11);
+}
+
+TEST(Simulation, QueueMaxDepthGaugeHoldsAcrossResume) {
+  // sim/queue/max_depth is a high-water: published at the end of every run
+  // call, never lowered by a drain or by a shallower later wave.
+  Simulation sim;
+  Recorder rec;
+  const auto id = sim.add_component(&rec);
+  telemetry::MetricRegistry reg;
+  sim.bind_telemetry(reg);
+  auto max_depth = [&reg] {
+    return reg.snapshot().gauge_at("sim/queue/max_depth");
+  };
+  for (int i = 0; i < 10; ++i) sim.schedule(ns(i), id, 1);
+  EXPECT_TRUE(sim.run_some(5));
+  EXPECT_EQ(max_depth(), 10);
+  for (int i = 0; i < 3; ++i) sim.schedule(ns(50 + i), id, 2);  // depth 8
+  EXPECT_FALSE(sim.run_some(100));
+  EXPECT_EQ(max_depth(), 10) << "the first wave's peak";
+  for (int i = 0; i < 12; ++i) sim.schedule(ns(100 + i), id, 3);
+  sim.run();
+  EXPECT_EQ(max_depth(), 12);
+  EXPECT_EQ(sim.events_processed(), 25u);
 }
 
 // ---------- server ----------

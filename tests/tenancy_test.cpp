@@ -12,7 +12,6 @@
 #include "nexus/nexussharp/nexussharp.hpp"
 #include "nexus/runtime/schedule_validator.hpp"
 #include "nexus/runtime/tenancy.hpp"
-#include "nexus/sim/event_queue.hpp"
 #include "nexus/telemetry/critical_path.hpp"
 #include "nexus/telemetry/profiler.hpp"
 #include "nexus/telemetry/registry.hpp"
@@ -200,37 +199,6 @@ TEST(Tenancy, DisabledTenancyNeverNacks) {
   EXPECT_EQ(r.total_tasks, 300u);
   EXPECT_EQ(r.tenants[0].nack_holds + r.tenants[1].nack_holds, 0u);
   EXPECT_EQ(mgr.stats().nacks, 0u);
-}
-
-// --- determinism ----------------------------------------------------------
-
-TEST(Tenancy, QueueKindBitIdentity) {
-  // The co-run's every per-task latency must be identical under the heap
-  // and calendar event queues (the repo-wide determinism contract).
-  TenantSet set = make_tenants({1e6, 4e6, 5e5}, 150);
-  NexusSharpConfig cfg = sharp_cfg(2);
-  cfg.tenancy.tenants = 3;
-  cfg.tenancy.quota.pool = 16;
-  cfg.tenancy.weights = {1, 4, 1};
-
-  const QueueKind saved = default_queue_kind();
-  std::vector<TenantRunResult> results;
-  for (const QueueKind k : {QueueKind::kBinaryHeap, QueueKind::kCalendar}) {
-    set_default_queue_kind(k);
-    NexusSharp mgr(cfg);
-    results.push_back(
-        run_tenants(set.streams, mgr, RuntimeConfig{.workers = 8}));
-  }
-  set_default_queue_kind(saved);
-
-  EXPECT_EQ(results[0].makespan, results[1].makespan);
-  ASSERT_EQ(results[0].tenants.size(), results[1].tenants.size());
-  for (std::size_t t = 0; t < results[0].tenants.size(); ++t) {
-    EXPECT_EQ(results[0].tenants[t].raw, results[1].tenants[t].raw)
-        << "tenant " << t;
-    EXPECT_EQ(results[0].tenants[t].nack_holds,
-              results[1].tenants[t].nack_holds);
-  }
 }
 
 // --- goldens ----------------------------------------------------------------

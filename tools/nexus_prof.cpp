@@ -2,7 +2,7 @@
 //
 // Runs a workload x manager x topology grid with a telemetry::Profiler
 // attached and reports where the simulator's own wall-clock time goes —
-// event-queue operations (push/pop/rebuild/sweep), per-Component-type
+// event-queue operations (push/pop), per-Component-type
 // handlers, NoC send paths by op kind, and driver dispatch/notify — as a
 // top-N self-time table per cell. This is the "where would partitioning
 // help" evidence for the parallel-DES roadmap item: the hot node names
